@@ -30,6 +30,7 @@ from .lattice import (
     MonotoneFamily,
     SetFunction,
     expectation,
+    from_moebius_weights,
     is_decreasing,
     is_increasing,
     random_increasing,
@@ -144,31 +145,15 @@ def _setfunction(obj: object, ground: GroundSet, mode: str, path: str) -> SetFun
     }
     if form == "weights":
         try:
-            f = SetFunction(
-                ground,
-                _zeta(ground, entries),
-            )
+            return from_moebius_weights(ground, entries)
         except ValueError as exc:
             raise ConfigError(f"{path}.weights: {exc}") from None
-        return f
     missing = [m for m in ground.subsets() if m not in entries]
     if missing:
         raise ConfigError(
             f"{path}.table: missing entry for subset {_mask_key(ground, missing[0])!r}"
         )
     return SetFunction(ground, (entries[m] for m in ground.subsets()))
-
-
-def _zeta(ground: GroundSet, weights: Mapping[int, Value]) -> list[Value]:
-    tab: list[Value] = [0] * (1 << ground.n)
-    for m, w in weights.items():
-        tab[m] = tab[m] + w
-    for i in range(ground.n):
-        bit = 1 << i
-        for mask in range(1 << ground.n):
-            if mask & bit:
-                tab[mask] = tab[mask] + tab[mask ^ bit]
-    return tab
 
 
 def _subset_list(obj: object, ground: GroundSet, path: str) -> list[int]:
@@ -507,7 +492,7 @@ def _iter_profiles(spec: GameSpec):
         yield StrategyProfile(combo)
 
 
-def _expost_sweep(spec: GameSpec, profile: StrategyProfile, mode: str) -> dict:
+def _expost_sweep(spec: GameSpec, profile: StrategyProfile) -> dict:
     total_blocks = sum(len(s.blocks) for s in profile.strategies)
     if total_blocks > EXPOST_BLOCK_CAP:
         raise ConfigError(f"ex-post sweep is limited to {EXPOST_BLOCK_CAP} blocks")
@@ -598,7 +583,7 @@ def _cmd_game_analyze(args) -> int:
     nash_has_coarse = coarse in nash
 
     expost_profile = profile if profile is not None else spec.finest_profile()
-    expost = _expost_sweep(spec, expost_profile, mode)
+    expost = _expost_sweep(spec, expost_profile)
 
     report: dict[str, object] = {
         "kind": "game",
@@ -801,7 +786,7 @@ def _verify_expost(seed: int, count: int = 30) -> dict:
     for _ in range(count):
         spec = generators.random_game_spec(rng)
         profile = generators.random_profile(rng, spec)
-        result = _expost_sweep(spec, profile, "exact")
+        result = _expost_sweep(spec, profile)
         instances += result["checked"]
         if not result["holds"]:
             return _check("expost_identity", instances, result["violation"])

@@ -177,29 +177,26 @@ class SetFunction:
         return self.map(lambda v: -v)
 
 
+def _covering_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """Every covering pair (S, S + {i}) of the n-element lattice, element by
+    element, with S ascending within each element."""
+    size = 1 << n
+    for i in range(n):
+        bit = 1 << i
+        for base in range(0, size, bit << 1):
+            for mask in range(base, base + bit):
+                yield mask, mask | bit
+
+
 def is_increasing(f: SetFunction) -> bool:
     """True when f(S) <= f(T) for every S <= T (checked on covering pairs)."""
     vals = f.values
-    for i in range(f.ground.n):
-        bit = 1 << i
-        for mask in range(1 << f.ground.n):
-            if mask & bit:
-                continue
-            if not geq(vals[mask | bit], vals[mask]):
-                return False
-    return True
+    return all(geq(vals[hi], vals[lo]) for lo, hi in _covering_pairs(f.ground.n))
 
 
 def is_decreasing(f: SetFunction) -> bool:
     vals = f.values
-    for i in range(f.ground.n):
-        bit = 1 << i
-        for mask in range(1 << f.ground.n):
-            if mask & bit:
-                continue
-            if not geq(vals[mask], vals[mask | bit]):
-                return False
-    return True
+    return all(geq(vals[lo], vals[hi]) for lo, hi in _covering_pairs(f.ground.n))
 
 
 @dataclass(frozen=True)
@@ -214,11 +211,9 @@ class MonotoneFamily:
         object.__setattr__(self, "member", tuple(bool(b) for b in member))
         if len(self.member) != 1 << ground.n:
             raise ValueError("membership table must have one entry per subset")
-        for i in range(ground.n):
-            bit = 1 << i
-            for mask in range(1 << ground.n):
-                if not mask & bit and self.member[mask] and not self.member[mask | bit]:
-                    raise ValueError("family is not up-closed")
+        member = self.member
+        if any(member[lo] and not member[hi] for lo, hi in _covering_pairs(ground.n)):
+            raise ValueError("family is not up-closed")
 
     def __contains__(self, mask: int) -> bool:
         return self.member[self.ground.check_mask(mask)]
@@ -239,11 +234,9 @@ def up_closure(ground: GroundSet, seeds: Iterable[int]) -> MonotoneFamily:
     member = bytearray(1 << ground.n)
     for s in seeds:
         member[ground.check_mask(s)] = 1
-    for i in range(ground.n):
-        bit = 1 << i
-        for mask in range(1 << ground.n):
-            if member[mask]:
-                member[mask | bit] = 1
+    for lo, hi in _covering_pairs(ground.n):
+        if member[lo]:
+            member[hi] = 1
     return MonotoneFamily(ground, member)
 
 
@@ -360,11 +353,8 @@ def from_moebius_weights(ground: GroundSet, weights: Mapping[int, Value]) -> Set
     tab: list[Value] = [0] * (1 << ground.n)
     for mask, w in weights.items():
         tab[ground.check_mask(mask)] = tab[mask] + w
-    for i in range(ground.n):
-        bit = 1 << i
-        for mask in range(1 << ground.n):
-            if mask & bit:
-                tab[mask] = tab[mask] + tab[mask ^ bit]
+    for lo, hi in _covering_pairs(ground.n):
+        tab[hi] = tab[hi] + tab[lo]
     return SetFunction(ground, tab)
 
 
@@ -413,18 +403,10 @@ def all_monotone_indicators(ground: GroundSet) -> list[SetFunction]:
     if ground.n > 4:
         raise ValueError("exhaustive monotone enumeration is limited to 4 elements")
     size = 1 << ground.n
+    pairs = list(_covering_pairs(ground.n))
     out: list[SetFunction] = []
     for code in range(1 << size):
         vals = [code >> m & 1 for m in range(size)]
-        ok = True
-        for i in range(ground.n):
-            bit = 1 << i
-            for mask in range(size):
-                if not mask & bit and vals[mask] > vals[mask | bit]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(vals[lo] <= vals[hi] for lo, hi in pairs):
             out.append(SetFunction(ground, vals))
     return out

@@ -316,39 +316,6 @@ def _check_block_cap(profile: StrategyProfile) -> None:
         raise ValueError(f"exact enumeration is limited to {MAX_TOTAL_BLOCKS} shipment blocks")
 
 
-def _local_outcomes(ph: Value, nblocks: int) -> list[tuple[tuple[bool, ...], Value]]:
-    """Per-supplier arrival patterns with nonzero probability."""
-    out: list[tuple[tuple[bool, ...], Value]] = [((), 1)]
-    for _ in range(nblocks):
-        nxt = []
-        for bits, w in out:
-            lose = w * (1 - ph)
-            if lose != 0:
-                nxt.append((bits + (False,), lose))
-            win = w * ph
-            if win != 0:
-                nxt.append((bits + (True,), win))
-        out = nxt
-    return out
-
-
-def outcome_atoms(spec: GameSpec, profile: StrategyProfile) -> list[OutcomeAtom]:
-    """All joint arrival realizations of positive probability."""
-    _validate_profile(spec, profile)
-    _check_block_cap(profile)
-    locals_: list[list[tuple[tuple[bool, ...], Value]]] = [
-        _local_outcomes(spec.p.p[hi], len(strat.blocks))
-        for hi, strat in enumerate(profile.strategies)
-    ]
-    atoms = []
-    for combo in itertools.product(*locals_):
-        prob: Value = 1
-        for _, w in combo:
-            prob = prob * w
-        atoms.append(OutcomeAtom(tuple(bits for bits, _ in combo), prob))
-    return atoms
-
-
 def _block_commodity_indices(spec: GameSpec, profile: StrategyProfile) -> list[list[list[int]]]:
     return [
         [[spec.k_index(k) for k in block] for block in strat.blocks]
@@ -356,30 +323,88 @@ def _block_commodity_indices(spec: GameSpec, profile: StrategyProfile) -> list[l
     ]
 
 
-def _success_masks(
-    block_idx: list[list[list[int]]], arrivals: tuple[tuple[bool, ...], ...], nk: int
-) -> list[int]:
-    masks = [0] * nk
-    for hi, bits in enumerate(arrivals):
+def _arrival_atoms(
+    spec: GameSpec, profile: StrategyProfile, exact: bool
+) -> tuple[Iterator[tuple[tuple, list[int], Value]], int]:
+    """Joint arrival realizations of positive probability, and their scale.
+
+    Each supplier's block patterns are enumerated once, as (arrival bits,
+    per-commodity mask contribution, weight); a joint atom is one pattern
+    per supplier, yielded as (patterns, success masks, weight).  Exact mode
+    keeps weights as integers over the returned denominator, the product of
+    den**blocks per supplier, so sweeps run on machine integers.  Float mode
+    multiplies float coins block by block and the denominator is 1.
+    """
+    _validate_profile(spec, profile)
+    _check_block_cap(profile)
+    block_idx = _block_commodity_indices(spec, profile)
+    nk = len(spec.commodities)
+    denom = 1
+    patterns: list[list[tuple[tuple[bool, ...], tuple[int, ...], Value]]] = []
+    for hi, strat in enumerate(profile.strategies):
+        ph = spec.p.p[hi]
+        if exact:
+            win, den = ph.numerator, ph.denominator
+            lose = den - win
+            denom *= den ** len(strat.blocks)
+        else:
+            win = float(ph)
+            lose = 1 - win
         hbit = 1 << hi
-        for bi, arrived in enumerate(bits):
-            if arrived:
-                for ki in block_idx[hi][bi]:
-                    masks[ki] |= hbit
-    return masks
+        local = []
+        for bits in itertools.product((False, True), repeat=len(strat.blocks)):
+            w: Value = 1
+            contrib = [0] * nk
+            for arrived, kis in zip(bits, block_idx[hi]):
+                w = w * (win if arrived else lose)
+                if arrived:
+                    for ki in kis:
+                        contrib[ki] |= hbit
+            if w != 0:
+                local.append((bits, tuple(contrib), w))
+        patterns.append(local)
+
+    def atoms() -> Iterator[tuple[tuple, list[int], Value]]:
+        krange = range(nk)
+        for combo in itertools.product(*patterns):
+            w: Value = 1
+            masks = [0] * nk
+            for _, contrib, pw in combo:
+                w = w * pw
+                for ki in krange:
+                    masks[ki] |= contrib[ki]
+            yield combo, masks, w
+
+    return atoms(), denom
+
+
+def _atom_law(
+    spec: GameSpec, profile: StrategyProfile
+) -> Iterator[tuple[tuple, list[int], Value]]:
+    """Joint atoms with their probabilities, exact whenever the coins are."""
+    exact = spec.p.exact
+    atoms, denom = _arrival_atoms(spec, profile, exact)
+    return (
+        (combo, masks, Fraction(w, denom) if exact else w) for combo, masks, w in atoms
+    )
+
+
+def outcome_atoms(spec: GameSpec, profile: StrategyProfile) -> list[OutcomeAtom]:
+    """All joint arrival realizations of positive probability."""
+    return [
+        OutcomeAtom(tuple(bits for bits, _, _ in combo), prob)
+        for combo, _, prob in _atom_law(spec, profile)
+    ]
 
 
 def success_distribution(
     spec: GameSpec, profile: StrategyProfile
 ) -> list[tuple[SuccessTuple, Value]]:
     """Exact law of the success tuple induced by the profile."""
-    block_idx = _block_commodity_indices(spec, profile)
-    nk = len(spec.commodities)
-    out = []
-    for atom in outcome_atoms(spec, profile):
-        masks = _success_masks(block_idx, atom.arrivals, nk)
-        out.append((SuccessTuple(spec.commodities, tuple(masks)), atom.probability))
-    return out
+    return [
+        (SuccessTuple(spec.commodities, tuple(masks)), prob)
+        for _, masks, prob in _atom_law(spec, profile)
+    ]
 
 
 def _payoff_tables(spec: GameSpec, hi: int) -> list[tuple[Value, ...]]:
@@ -402,109 +427,41 @@ def _int_table(values: Sequence[Value]) -> tuple[list[int], int]:
 def _payoffs_for(
     spec: GameSpec, profile: StrategyProfile, players: Sequence[int]
 ) -> list[Value]:
-    """Expected payoffs of the given player indices under the profile."""
-    _validate_profile(spec, profile)
-    _check_block_cap(profile)
-    block_idx = _block_commodity_indices(spec, profile)
-    nk = len(spec.commodities)
-    if _spec_exact(spec):
-        return _payoffs_exact(spec, profile, players, block_idx, nk)
-    tables = [_payoff_tables(spec, hi) for hi in players]
-    terms: list[list[Value]] = [[] for _ in players]
-    for atom in outcome_atoms(spec, profile):
-        masks = _success_masks(block_idx, atom.arrivals, nk)
-        if spec.symmetric and players:
-            val: Value = atom.probability
-            for ki in range(nk):
-                val = val * tables[0][ki][masks[ki]]
-            for slot in range(len(players)):
-                terms[slot].append(val)
+    """Expected payoffs of the given player indices under the profile.
+
+    Exact mode sums integer terms and divides once by the atom and table
+    scales; float mode sums its terms with fsum.
+    """
+    exact = _spec_exact(spec)
+    atoms, denom = _arrival_atoms(spec, profile, exact)
+    # One table set per distinct payoff: a symmetric game shares the first.
+    owners = players[:1] if spec.symmetric else players
+    tables: list[list[Sequence[Value]]] = []
+    scales: list[int] = []
+    for hi in owners:
+        if exact:
+            cleared = [_int_table(row[hi].values) for row in spec.payoffs]
+            tables.append([tab for tab, _ in cleared])
+            scales.append(denom * math.prod(den for _, den in cleared))
         else:
-            for slot in range(len(players)):
-                val = atom.probability
-                for ki in range(nk):
-                    val = val * tables[slot][ki][masks[ki]]
-                terms[slot].append(val)
-    return [stable_sum(ts) for ts in terms]
-
-
-def _payoffs_exact(
-    spec: GameSpec,
-    profile: StrategyProfile,
-    players: Sequence[int],
-    block_idx: list[list[list[int]]],
-    nk: int,
-) -> list[Value]:
-    # Integer core of the atom sweep: probabilities are cleared to a common
-    # power-of-denominator scale per supplier, payoff tables to one scale per
-    # commodity, and everything sums in exact machine arithmetic.
-    locals_: list[list[tuple[tuple[int, ...], int]]] = []
-    denom_p = 1
-    for hi, strat in enumerate(profile.strategies):
-        ph = spec.p.p[hi]
-        num = ph.numerator if isinstance(ph, Fraction) else ph
-        den = ph.denominator if isinstance(ph, Fraction) else 1
-        nb = len(strat.blocks)
-        denom_p *= den ** nb
-        hbit = 1 << hi
-        patterns: list[tuple[tuple[int, ...], int]] = []
-        for bits in itertools.product((0, 1), repeat=nb):
-            w = 1
-            for b in bits:
-                w *= num if b else den - num
-            if w == 0:
-                continue
-            contrib = [0] * nk
-            for bi, b in enumerate(bits):
-                if b:
-                    for ki in block_idx[hi][bi]:
-                        contrib[ki] |= hbit
-            patterns.append((tuple(contrib), w))
-        locals_.append(patterns)
-
-    int_tables: list[list[list[int]]] = []
-    denom_f: list[int] = []
-    for slot, hi in enumerate(players):
-        if spec.symmetric and slot > 0:
-            int_tables.append(int_tables[0])
-            denom_f.append(denom_f[0])
-            continue
-        tabs = []
-        dd = 1
-        for row in spec.payoffs:
-            tab, den = _int_table(row[hi].values)
-            tabs.append(tab)
-            dd *= den
-        int_tables.append(tabs)
-        denom_f.append(dd)
-
-    acc = [0] * len(players)
-    krange = range(nk)
-    for combo in itertools.product(*locals_):
-        w = 1
-        for _, pw in combo:
-            w *= pw
-        masks = [0] * nk
-        for contrib, _ in combo:
-            for ki in krange:
-                masks[ki] |= contrib[ki]
-        if spec.symmetric and players:
+            tables.append(_payoff_tables(spec, hi))
+    krange = range(len(spec.commodities))
+    totals = [0] * len(tables)
+    terms: list[list[Value]] = [[] for _ in tables]
+    for _, masks, w in atoms:
+        for t, tabs in enumerate(tables):
             val = w
-            tabs = int_tables[0]
             for ki in krange:
-                val *= tabs[ki][masks[ki]]
-            for slot in range(len(players)):
-                acc[slot] += val
-        else:
-            for slot in range(len(players)):
-                val = w
-                tabs = int_tables[slot]
-                for ki in krange:
-                    val *= tabs[ki][masks[ki]]
-                acc[slot] += val
-    return [
-        Fraction(acc[slot], denom_p * denom_f[slot]) for slot in range(len(players))
-    ]
+                val = val * tabs[ki][masks[ki]]
+            if exact:
+                totals[t] += val
+            else:
+                terms[t].append(val)
+    if exact:
+        values = [Fraction(total, scale) for total, scale in zip(totals, scales)]
+    else:
+        values = [stable_sum(ts) for ts in terms]
+    return values * len(players) if spec.symmetric else values
 
 
 def _profile_payoffs(spec: GameSpec, profile: StrategyProfile) -> tuple[Value, ...]:

@@ -198,10 +198,19 @@ def test_atom_probabilities_sum_to_one():
 
 
 def test_degenerate_coin_drops_zero_atoms():
-    spec = _single_supplier_spec([(0, 1), (0, 1)], p=F(1))
-    atoms = outcome_atoms(spec, spec.finest_profile())
-    assert len(atoms) == 1
-    assert atoms[0].arrivals == ((True, True),)
+    cases = [
+        (F(1), [(0, 1), (0, 1)], True),
+        (1.0, [(0.0, 1.0), (0.0, 1.0)], True),
+        (0.0, [(0.0, 1.0), (0.0, 1.0)], False),
+    ]
+    for p, tables, arrived in cases:
+        spec = _single_supplier_spec(tables, p=p)
+        profile = spec.finest_profile()
+        atoms = outcome_atoms(spec, profile)
+        assert len(atoms) == 1
+        assert atoms[0].arrivals == ((arrived, arrived),)
+        assert atoms[0].probability == 1
+        assert expected_payoff(spec, profile, "h") == int(arrived)
 
 
 def test_commodity_marginals_unchanged_by_merging_blocks():
@@ -278,6 +287,28 @@ def test_exact_and_float_paths_agree():
             exact = expected_payoff(spec, profile, h)
             approx = expected_payoff(float_spec, profile, h)
             assert close(float(exact), approx)
+
+
+def test_exact_coins_with_float_payoffs_give_float_payoffs():
+    rng = random.Random(85)
+    for _ in range(10):
+        spec = random_game_spec(rng)
+        profile = random_profile(rng, spec)
+        mixed = GameSpec.build(
+            spec.commodities,
+            spec.suppliers,
+            dict(zip(spec.suppliers, spec.supply)),
+            spec.p,
+            {
+                k: {h: f.map(float) for h, f in zip(spec.suppliers, row)}
+                for k, row in zip(spec.commodities, spec.payoffs)
+            },
+        )
+        assert mixed.p.exact
+        for h in spec.suppliers:
+            value = expected_payoff(mixed, profile, h)
+            assert isinstance(value, float)
+            assert close(value, expected_payoff(spec, profile, h))
 
 
 def test_profile_validation():
