@@ -139,10 +139,16 @@ def _setfunction(obj: object, ground: GroundSet, mode: str, path: str) -> SetFun
     body = obj[form]
     if not isinstance(body, dict):
         raise ConfigError(f"{path}.{form}: expected an object keyed by subsets")
-    entries = {
-        _parse_key(ground, key, f"{path}.{form}"): _value(v, mode, f"{path}.{form}.{key!r}")
-        for key, v in body.items()
-    }
+    entries: dict[int, Value] = {}
+    keys: dict[int, str] = {}
+    for key, v in body.items():
+        mask = _parse_key(ground, key, f"{path}.{form}")
+        if mask in keys:
+            raise ConfigError(
+                f"{path}.{form}: keys {keys[mask]!r} and {key!r} name the same subset"
+            )
+        keys[mask] = key
+        entries[mask] = _value(v, mode, f"{path}.{form}.{key!r}")
     if form == "weights":
         try:
             return from_moebius_weights(ground, entries)
@@ -327,14 +333,18 @@ def _scenario_production(cfg: Mapping, mode: str, limit: int | None) -> tuple[di
             raise ConfigError(f"{field}: must give one amount per supplier")
         return tuple(_value(obj[h], mode, f"{field}.{h}") for h in ground.labels)
 
+    def exponent(field: str) -> Value:
+        v = _value(cfg.get(field), mode, field)
+        if mode == "exact" and v.denominator != 1:
+            raise ConfigError(
+                f"{field}: exact mode needs an integer exponent, got {cfg[field]!r}; "
+                "fractional powers are computed in floats, so use float mode"
+            )
+        return v
+
     try:
         sc = TwoInputProduction(
-            ground,
-            amounts("x"),
-            amounts("y"),
-            _value(cfg.get("alpha"), mode, "alpha"),
-            _value(cfg.get("beta"), mode, "beta"),
-            p,
+            ground, amounts("x"), amounts("y"), exponent("alpha"), exponent("beta"), p
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -9,15 +9,25 @@ tosses two independent coins per element outside S.  The two extreme values
 recover the classical objects: at S = H the expectation of the product, at
 S = {} the product of expectations.
 
-Two routes are provided on purpose.  `convolve` computes the whole table by
-eliminating one ground-set element at a time with the exact two-point rule;
-`convolve_bruteforce` evaluates the defining double sum for a single S and
-exists to cross-check the fast route, never to be replaced by it.
+Two routes are provided on purpose.  `convolve` computes the whole table in
+the p-biased Fourier basis prod over i in A of (x_i - p_i): a shared coin
+correlates its coordinate with variance p_i (1 - p_i) and two free coins do
+not correlate at all, so
+
+    (f * g)(S) = sum over A <= S of f^(A) g^(A) prod over i in A of p_i (1 - p_i),
+
+the noise-stability form <f, T_rho g> with rho = 1_S (O'Donnell, Analysis
+of Boolean Functions, ch. 8).  The sum over subsets of S is one fast zeta
+transform, so the table costs O(n 2**n).  `convolve_bruteforce` evaluates
+the defining double sum for a single S and exists to cross-check the fast
+route, never to be replaced by it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,7 +42,6 @@ from .lattice import (
 )
 from .numerics import Value
 
-MAX_CONVOLVE = 16
 MAX_BRUTEFORCE = 10
 
 
@@ -42,44 +51,67 @@ def _common_ground(f: SetFunction, g: SetFunction, p: CoinVector) -> GroundSet:
     return f.ground
 
 
-def _contract(fv: list[Value], gv: list[Value], ps: tuple[Value, ...]) -> list[Value]:
-    # Eliminate the first remaining element. Writing a for f(T), a1 for
-    # f(T + h) and likewise b, b1, the element contributes
-    #   h outside S:  ((1-p) a + p a1) * ((1-p) b + p b1)   (two coins)
-    #   h inside S:   (1-p) a b + p a1 b1                   (one shared coin)
-    # and the recursion applies the rule pointwise over the rest.
-    if not ps:
-        return [fv[0] * gv[0]]
-    ph = ps[0]
-    q = 1 - ph
-    if len(ps) == 1:
-        a, a1 = fv
-        b, b1 = gv
-        return [(q * a + ph * a1) * (q * b + ph * b1), q * (a * b) + ph * (a1 * b1)]
-    f0, f1 = fv[0::2], fv[1::2]
-    g0, g1 = gv[0::2], gv[1::2]
-    rest = ps[1:]
-    favg = [q * x + ph * y for x, y in zip(f0, f1)]
-    gavg = [q * x + ph * y for x, y in zip(g0, g1)]
-    lower = _contract(favg, gavg, rest)
-    c00 = _contract(f0, g0, rest)
-    c11 = _contract(f1, g1, rest)
-    out: list[Value] = [0] * (2 * len(lower))
-    out[0::2] = lower
-    out[1::2] = [q * x + ph * y for x, y in zip(c00, c11)]
+def _coupled_sum(
+    fa: np.ndarray, ga: np.ndarray, coins: list[tuple[Value, Value, Value, Value]]
+) -> np.ndarray:
+    # coins[i] = (s, c, w_in, w_out).  Per coordinate, the butterfly
+    #   (lo, hi) -> (s lo + c (hi - lo), s (hi - lo))
+    # takes both tables to p-biased coefficients, each scaled by prod s;
+    # entry A of the product is then weighted by w_in for i in A and w_out
+    # otherwise, and a zeta transform sums it over the submasks of S.
+    # Overwrites fa and ga.
+    for a in (fa, ga):
+        for i, (s, c, _, _) in enumerate(coins):
+            v = a.reshape(-1, 2, 1 << i)
+            lo, hi = v[:, 0, :], v[:, 1, :]
+            hi -= lo
+            lo *= s
+            lo += c * hi
+            hi *= s
+    w = np.ones(1, dtype=fa.dtype)
+    for _, _, w_in, w_out in coins:
+        w = np.concatenate([w * w_out, w * w_in])
+    out = fa * ga
+    out *= w
+    for i in range(len(coins)):
+        v = out.reshape(-1, 2, 1 << i)
+        v[:, 1, :] += v[:, 0, :]
     return out
 
 
 def convolve(f: SetFunction, g: SetFunction, p: CoinVector) -> SetFunction:
-    """Full table of f * g via element-by-element contraction.
+    """Full table of f * g: one p-biased butterfly pass per element on f
+    and on g, a weighted pointwise product and one zeta transform, O(n 2**n).
 
-    Exact when all inputs are exact.  Cost grows as 3**n, so the ground set
-    is capped at 16 elements.
+    Exact when all inputs are exact: tables are cleared of denominators,
+    every pass runs on integers and the result is divided once, so each
+    entry is a Fraction.  Otherwise numpy float64, entries are floats.
     """
     ground = _common_ground(f, g, p)
-    if ground.n > MAX_CONVOLVE:
-        raise ValueError(f"convolve is limited to {MAX_CONVOLVE} elements")
-    return SetFunction(ground, _contract(list(f.values), list(g.values), p.p))
+    if not (f.exact and g.exact and p.exact):
+        out = _coupled_sum(
+            np.array(f.values, dtype=float),
+            np.array(g.values, dtype=float),
+            [(1, ph, ph * (1.0 - ph), 1) for ph in map(float, p.p)],
+        )
+        return SetFunction(ground, out.tolist())
+    # Integer path: each table times the lcm of its denominators; for the
+    # coin a/d the butterfly is scaled by d and the weights are a (d - a)
+    # inside A and d**2 outside it, so every entry carries d**4 per coin.
+    tables = []
+    den = 1
+    for fn in (f, g):
+        lcm = math.lcm(*(v.denominator for v in fn.values))
+        ints = [v.numerator * (lcm // v.denominator) for v in fn.values]
+        tables.append(np.array(ints, dtype=object))
+        den *= lcm
+    coins = []
+    for ph in p.p:
+        a, d = ph.numerator, ph.denominator
+        coins.append((d, a, a * (d - a), d * d))
+        den *= d**4
+    out = _coupled_sum(tables[0], tables[1], coins)
+    return SetFunction(ground, [Fraction(x, den) for x in out.tolist()])
 
 
 def _bruteforce_float(f: SetFunction, g: SetFunction, p: CoinVector, coupled: int) -> float:

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .numerics import Value, all_exact, geq, is_exact, stable_sum
+import numpy as np
+
+from .numerics import ABS_TOL, REL_TOL, Value, all_exact, geq, is_exact, stable_sum
 
 MAX_GROUND = 20
 MAX_PAIR_GROUND = 10
@@ -188,15 +190,38 @@ def _covering_pairs(n: int) -> Iterator[tuple[int, int]]:
                 yield mask, mask | bit
 
 
-def is_increasing(f: SetFunction) -> bool:
-    """True when f(S) <= f(T) for every S <= T (checked on covering pairs)."""
+def _is_monotone(f: SetFunction, increasing: bool) -> bool:
+    # All-exact tables compare exactly, pair by pair.  Any other table is
+    # compared in float64 with the slack of `numerics.geq`, one strided
+    # numpy pass per element.
     vals = f.values
-    return all(geq(vals[hi], vals[lo]) for lo, hi in _covering_pairs(f.ground.n))
+    n = f.ground.n
+    if all_exact(vals):
+        if increasing:
+            return all(vals[hi] >= vals[lo] for lo, hi in _covering_pairs(n))
+        return all(vals[lo] >= vals[hi] for lo, hi in _covering_pairs(n))
+    table = np.array(vals, dtype=float)
+    for i in range(n):
+        v = table.reshape(-1, 2, 1 << i)
+        lo, hi = v[:, 0, :], v[:, 1, :]
+        step = hi - lo if increasing else lo - hi
+        slack = np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(hi), np.abs(lo)))
+        if not np.all(step >= -slack):
+            return False
+    return True
+
+
+def is_increasing(f: SetFunction) -> bool:
+    """True when f(S) <= f(T) for every S <= T (checked on covering pairs).
+
+    Exact when every entry is exact; a table holding any float is compared
+    in float64 within the `numerics.geq` slack.
+    """
+    return _is_monotone(f, True)
 
 
 def is_decreasing(f: SetFunction) -> bool:
-    vals = f.values
-    return all(geq(vals[lo], vals[hi]) for lo, hi in _covering_pairs(f.ground.n))
+    return _is_monotone(f, False)
 
 
 @dataclass(frozen=True)

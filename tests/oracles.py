@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here works on plain dicts keyed by frozensets of element names
-and enumerates coin outcomes literally, one coin at a time.  No bitmasks,
-no recursion tricks, no code shared with the package under test: when a
-library value and an oracle value agree, they agree for two different
-reasons.
+Almost everything here works on plain dicts keyed by frozensets of element
+names and enumerates coin outcomes literally, one coin at a time.  The one
+exception is `contract`, the element-elimination recursion for the coupled
+product, which works on mask-indexed lists.  None of it shares code with
+the package under test: when a library value and an oracle value agree,
+they agree for two different reasons.
 """
 
 from itertools import chain, combinations, product
@@ -100,6 +101,40 @@ def pair_weights(probs, shared):
                     continue
                 key = (both | only1, both | only2)
                 out[key] = out.get(key, 0) + w
+    return out
+
+
+def contract(fv, gv, ps):
+    """The whole coupled-product table by eliminating one element at a time.
+
+    fv, gv are tables indexed by mask (element i is bit i) and ps the coin
+    of each element.  3**n work; the route `convolve` took before its
+    p-biased Fourier kernel, kept as a second oracle.
+    """
+    # Eliminate the first remaining element. Writing a for f(T), a1 for
+    # f(T + h) and likewise b, b1, the element contributes
+    #   h outside S:  ((1-p) a + p a1) * ((1-p) b + p b1)   (two coins)
+    #   h inside S:   (1-p) a b + p a1 b1                   (one shared coin)
+    # and the recursion applies the rule pointwise over the rest.
+    if not ps:
+        return [fv[0] * gv[0]]
+    ph = ps[0]
+    q = 1 - ph
+    if len(ps) == 1:
+        a, a1 = fv
+        b, b1 = gv
+        return [(q * a + ph * a1) * (q * b + ph * b1), q * (a * b) + ph * (a1 * b1)]
+    f0, f1 = fv[0::2], fv[1::2]
+    g0, g1 = gv[0::2], gv[1::2]
+    rest = ps[1:]
+    favg = [q * x + ph * y for x, y in zip(f0, f1)]
+    gavg = [q * x + ph * y for x, y in zip(g0, g1)]
+    lower = contract(favg, gavg, rest)
+    c00 = contract(f0, g0, rest)
+    c11 = contract(f1, g1, rest)
+    out = [0] * (2 * len(lower))
+    out[0::2] = lower
+    out[1::2] = [q * x + ph * y for x, y in zip(c00, c11)]
     return out
 
 

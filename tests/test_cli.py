@@ -262,6 +262,42 @@ def test_float_literal_rejected_in_exact_mode(tmp_path, capsys):
     assert "float literal" in err
 
 
+def test_fractional_exponent_rejected_in_exact_mode(tmp_path, capsys):
+    prod = {
+        "kind": "production",
+        "mode": "exact",
+        "suppliers": ["1", "2"],
+        "p": {"1": "1/2", "2": "3/4"},
+        "x": {"1": 4, "2": 1},
+        "y": {"1": 9, "2": 0},
+        "alpha": 1,
+        "beta": 2,
+    }
+    cfg = _write(tmp_path, "ok.json", prod)
+    code, out, _ = _run(capsys, ["scenario", "--config", cfg])
+    assert code == 0
+    assert json.loads(out)["mode"] == "exact"
+    for field in ("alpha", "beta"):
+        cfg = _write(tmp_path, f"{field}.json", dict(prod, **{field: "1/2"}))
+        code, out, err = _run(capsys, ["scenario", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert field in err and "integer exponent" in err
+        code, out, _ = _run(capsys, ["scenario", "--config", cfg, "--mode", "float"])
+        assert code == 0
+        assert json.loads(out)["mode"] == "float"
+
+
+def test_duplicate_subset_keys_rejected(tmp_path, capsys):
+    for form in ("table", "weights"):
+        body = {"": 0, "a": 1, "b": 1, "a,b": 3, "b,a": 4}
+        cfg = _write(tmp_path, f"{form}.json", dict(CONV_CONFIG, f={form: body}))
+        code, out, err = _run(capsys, ["convolve", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert "'a,b'" in err and "'b,a'" in err
+
+
 def test_non_up_closed_members_rejected(tmp_path, capsys):
     cfg = _write(
         tmp_path,

@@ -1,11 +1,14 @@
-"""The coupled product f*g: exact values, algebraic laws, and the two
-independent evaluation routes (recursion vs literal double sum)."""
+"""The coupled product f*g: exact values, algebraic laws, and the
+independent evaluation routes (p-biased Fourier kernel vs literal double
+sum vs element-elimination recursion)."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from riskpool.convolution import (
@@ -18,6 +21,7 @@ from riskpool.convolution import (
 )
 from riskpool.generators import random_coin_vector, random_setfunction
 from riskpool.lattice import (
+    MAX_GROUND,
     CoinVector,
     GroundSet,
     SetFunction,
@@ -26,7 +30,7 @@ from riskpool.lattice import (
     is_increasing,
     random_increasing,
 )
-from riskpool.numerics import close
+from riskpool.numerics import close, is_exact
 
 
 def _ground(n):
@@ -143,7 +147,7 @@ def test_label_permutation_invariance():
             assert close(table2.values[m], table.values[relabel(m)])
 
 
-# -- dual-route equality and the coin-enumeration oracle ----------------------
+# -- the oracles: double sum, coin enumeration, element recursion -------------
 
 
 def test_matches_bruteforce_exact():
@@ -186,6 +190,62 @@ def test_matches_coin_enumeration_oracle():
         for mask in g.subsets():
             want = oracles.coupled_mean(ftab, gtab, probs, frozenset(g.labels_of(mask)))
             assert table.values[mask] == want
+
+
+COINS = st.one_of(
+    st.sampled_from([0, 1, Fraction(0), Fraction(1)]),
+    st.builds(Fraction, st.integers(1, 15), st.just(16)),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+)
+EXACT_VALUES = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+FLOAT_VALUES = st.floats(min_value=-2, max_value=2)
+
+
+@st.composite
+def convolution_inputs(draw, values_f, values_g, coins, min_n=0):
+    n = draw(st.integers(min_n, 6))
+    g = _ground(n)
+    f = SetFunction(g, draw(st.lists(values_f, min_size=1 << n, max_size=1 << n)))
+    gg = SetFunction(g, draw(st.lists(values_g, min_size=1 << n, max_size=1 << n)))
+    p = CoinVector(g, draw(st.lists(coins, min_size=n, max_size=n)))
+    return f, gg, p
+
+
+def _recursion(f, gg, p):
+    return oracles.contract(list(f.values), list(gg.values), p.p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        convolution_inputs(EXACT_VALUES, EXACT_VALUES, COINS),
+        convolution_inputs(st.integers(-3, 3), st.integers(-3, 3), st.sampled_from([0, 1])),
+    )
+)
+def test_kernel_matches_recursion_exact(inputs):
+    f, gg, p = inputs
+    table = convolve(f, gg, p).values
+    assert list(table) == _recursion(f, gg, p)
+    assert all(is_exact(v) for v in table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        convolution_inputs(FLOAT_VALUES, FLOAT_VALUES, st.floats(min_value=0, max_value=1)),
+        convolution_inputs(FLOAT_VALUES, EXACT_VALUES, COINS),
+        convolution_inputs(EXACT_VALUES, EXACT_VALUES, st.floats(min_value=0, max_value=1), min_n=1),
+    )
+)
+def test_kernel_matches_recursion_float(inputs):
+    f, gg, p = inputs
+    table = convolve(f, gg, p).values
+    assert all(isinstance(v, float) for v in table)
+    for got, want in zip(table, _recursion(f, gg, p)):
+        assert close(got, want)
 
 
 # -- monotonicity and the correlation gap ------------------------------------
@@ -234,16 +294,26 @@ def test_decreasing_pair_also_has_nonnegative_gap():
 
 
 def test_size_caps():
-    g = _ground(17)
-    f = SetFunction.constant(g, 1)
-    p = CoinVector.uniform(g, 0.5)
+    # convolve takes every ground set there is; the ground-set cap bounds it
     with pytest.raises(ValueError):
-        convolve(f, f, p)
+        _ground(MAX_GROUND + 1)
     g11 = _ground(11)
     f11 = SetFunction.constant(g11, 1)
     p11 = CoinVector.uniform(g11, 0.5)
     with pytest.raises(ValueError):
         convolve_bruteforce(f11, f11, p11, 0)
+
+
+def test_float_n17_increasing_inputs():
+    rng = random.Random(17)
+    g = _ground(17)
+    f = random_increasing(rng, g, 40)
+    gg = random_increasing(rng, g, 40)
+    p = random_coin_vector(rng, g)
+    table = convolve(f, gg, p)
+    assert is_increasing(table)
+    assert close(table.values[0], expectation(f, p) * expectation(gg, p))
+    assert close(table.values[g.full], expectation(f * gg, p))
 
 
 def test_mismatched_grounds_rejected():

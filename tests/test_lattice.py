@@ -24,7 +24,7 @@ from riskpool.lattice import (
     submasks,
     up_closure,
 )
-from riskpool.numerics import close
+from riskpool.numerics import ABS_TOL, REL_TOL, close, geq
 
 
 def _ground(n):
@@ -108,6 +108,50 @@ def test_monotonicity_predicates():
     assert is_decreasing(SetFunction(g, (3, 1, 1, 0)))
     assert is_increasing(SetFunction.constant(g, 4))
     assert is_decreasing(SetFunction.constant(g, 4))
+
+
+def _pairwise_verdict(f, increasing):
+    """Monotonicity by `numerics.geq` on every covering pair, one at a time."""
+    vals = f.values
+    for mask in f.ground.subsets():
+        for i in range(f.ground.n):
+            if mask >> i & 1:
+                continue
+            lo, hi = vals[mask], vals[mask | 1 << i]
+            if not (geq(hi, lo) if increasing else geq(lo, hi)):
+                return False
+    return True
+
+
+def test_float_monotonicity_matches_pairwise_geq_at_the_slack():
+    rng = random.Random(61)
+    for base in (0.0, 1e-6, 1.0, -3.5, 2e6):
+        for n in (1, 3, 5):
+            g = _ground(n)
+            edge = max(ABS_TOL, REL_TOL * abs(base))
+            for side, want in ((1 - 1e-4, True), (1 + 1e-4, False)):
+                delta = edge * side
+                for _ in range(4):
+                    # entry m, below the full set, rises above or sinks under
+                    # its supersets by just less or just more than the slack
+                    m = rng.randrange((1 << n) - 1)
+                    raised = [float(base)] * (1 << n)
+                    raised[m] = base + delta
+                    sunk = [float(base)] * (1 << n)
+                    sunk[m] = base - delta
+                    inc, dec = SetFunction(g, raised), SetFunction(g, sunk)
+                    assert _pairwise_verdict(inc, True) is want
+                    assert is_increasing(inc) is want
+                    assert _pairwise_verdict(dec, False) is want
+                    assert is_decreasing(dec) is want
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        g = _ground(n)
+        f = random_increasing(rng, g, rng.randint(0, 8))
+        noisy = f.map(lambda v: v + rng.choice((0.0, 0.0, 1e-10, -1e-10, 0.3)))
+        for table in (f, noisy, -f, -noisy):
+            assert is_increasing(table) is _pairwise_verdict(table, True)
+            assert is_decreasing(table) is _pairwise_verdict(table, False)
 
 
 def test_exactness_flags():
