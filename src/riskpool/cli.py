@@ -16,6 +16,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -63,6 +64,12 @@ from .scenarios import (
 
 GAME_TABLE_CAP = 512
 EXPOST_BLOCK_CAP = 16
+# Set-function forms; a per-supplier payoff object is told apart from them
+# by its keys, so no supplier may take one of these names.
+FORMS = ("table", "weights", "constant")
+# Report keys join names with these: "," in subset keys, "|", ";" and ":" in
+# profile keys.
+SEPARATORS = ",|;:"
 
 
 class ConfigError(Exception):
@@ -105,14 +112,34 @@ def _value(raw: object, mode: str, path: str) -> Value:
     return float(v)
 
 
-def _ground(cfg: Mapping, field: str) -> GroundSet:
-    labels = cfg.get(field)
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+def _names(cfg: Mapping, field: str, reserved: Sequence[str] = ()) -> list[str]:
+    """The names listed under `field`; each must give report keys one meaning."""
+    names = cfg.get(field)
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise ConfigError(f"{field}: expected a list of element names")
+    for name in names:
+        if not name:
+            raise ConfigError(f"{field}: name '' is empty")
+        bad = [c for c in SEPARATORS if c in name]
+        if bad:
+            raise ConfigError(
+                f"{field}: name {name!r} holds {bad[0]!r}, which separates names in report keys"
+            )
+        if name in reserved:
+            raise ConfigError(f"{field}: name {name!r} is reserved for a set-function form")
+    return names
+
+
+def _ground(cfg: Mapping, field: str, limit: int | None, reserved: Sequence[str] = ()) -> GroundSet:
     try:
-        return GroundSet(labels)
+        ground = GroundSet(_names(cfg, field, reserved))
     except ValueError as exc:
         raise ConfigError(f"{field}: {exc}") from None
+    if limit is not None and ground.n > limit:
+        raise ConfigError(
+            f"ground set has {ground.n} elements, above the --max-ground limit {limit}"
+        )
+    return ground
 
 
 def _coins(cfg: Mapping, ground: GroundSet, mode: str, path: str = "p") -> CoinVector:
@@ -130,7 +157,7 @@ def _coins(cfg: Mapping, ground: GroundSet, mode: str, path: str = "p") -> CoinV
 def _setfunction(obj: object, ground: GroundSet, mode: str, path: str) -> SetFunction:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
-    forms = [k for k in ("table", "weights", "constant") if k in obj]
+    forms = [k for k in FORMS if k in obj]
     if len(forms) != 1:
         raise ConfigError(f"{path}: give exactly one of 'table', 'weights', 'constant'")
     form = forms[0]
@@ -238,13 +265,6 @@ def _load_config(path: str, mode_flag: str | None, expected_kinds: Sequence[str]
     return cfg, mode
 
 
-def _check_max_ground(ground: GroundSet, limit: int | None) -> None:
-    if limit is not None and ground.n > limit:
-        raise ConfigError(
-            f"ground set has {ground.n} elements, above the --max-ground limit {limit}"
-        )
-
-
 # ---------------------------------------------------------------- reports
 
 
@@ -274,8 +294,7 @@ def _exit_code(report: dict) -> int:
 
 def _cmd_convolve(args) -> int:
     cfg, mode = _load_config(args.config, args.mode, ("convolution",))
-    ground = _ground(cfg, "ground")
-    _check_max_ground(ground, args.max_ground)
+    ground = _ground(cfg, "ground", args.max_ground)
     p = _coins(cfg, ground, mode)
     f = _setfunction(cfg.get("f"), ground, mode, "f")
     g = _setfunction(cfg.get("g"), ground, mode, "g")
@@ -283,11 +302,11 @@ def _cmd_convolve(args) -> int:
     f_inc = is_increasing(f)
     g_inc = is_increasing(g)
     result_inc = is_increasing(table)
-    gap = harris_gap(f, g, p)
     end_empty = table.values[0]
     end_full = table.values[-1]
     exp_product = expectation(f, p) * expectation(g, p)
     product_exp = expectation(f * g, p)
+    gap = product_exp - exp_product
     violations = []
     if f_inc and g_inc and not result_inc:
         violations.append("inputs increasing but the convolution is not")
@@ -322,118 +341,103 @@ def _cmd_convolve(args) -> int:
 # ---------------------------------------------------------------- scenario
 
 
-def _scenario_production(cfg: Mapping, mode: str, limit: int | None) -> tuple[dict, dict]:
-    ground = _ground(cfg, "suppliers")
-    _check_max_ground(ground, limit)
-    p = _coins(cfg, ground, mode)
-
+def _production(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> TwoInputProduction:
     def amounts(field: str) -> tuple[Value, ...]:
         obj = cfg.get(field)
         if not isinstance(obj, dict) or set(obj) != set(ground.labels):
             raise ConfigError(f"{field}: must give one amount per supplier")
         return tuple(_value(obj[h], mode, f"{field}.{h}") for h in ground.labels)
 
-    def exponent(field: str) -> Value:
-        v = _value(cfg.get(field), mode, field)
-        if mode == "exact" and v.denominator != 1:
-            raise ConfigError(
-                f"{field}: exact mode needs an integer exponent, got {cfg[field]!r}; "
-                "fractional powers are computed in floats, so use float mode"
-            )
-        return v
-
-    try:
-        sc = TwoInputProduction(
-            ground, amounts("x"), amounts("y"), exponent("alpha"), exponent("beta"), p
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    table = production_table(sc)
-    best = optimal_strategies(table)
-    checks = {
-        "payoff_increasing": is_increasing(table),
-        "optimal_contains_full": ground.full in best,
-    }
-    report = {
-        "payoffs": _table_json(table),
-        "optimal": sorted(_mask_key(ground, m) for m in best),
-        "checks": checks,
-    }
-    return report, {"payoffs": report["payoffs"]}
+    return TwoInputProduction(
+        ground,
+        amounts("x"),
+        amounts("y"),
+        _value(cfg.get("alpha"), mode, "alpha"),
+        _value(cfg.get("beta"), mode, "beta"),
+        p,
+    )
 
 
-def _scenario_military(cfg: Mapping, mode: str, limit: int | None) -> tuple[dict, dict]:
-    ground = _ground(cfg, "sites")
-    _check_max_ground(ground, limit)
-    p = _coins(cfg, ground, mode)
-    sc = MilitaryScenario(
+def _military(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> MilitaryScenario:
+    return MilitaryScenario(
         ground,
         c_red=_family(cfg.get("red"), ground, "red"),
         c_blue=_family(cfg.get("blue"), ground, "blue"),
         p=p,
     )
+
+
+def _merger(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> MergerScenario:
+    return MergerScenario(
+        ground,
+        f_a=_voting_rule(cfg.get("a"), ground, mode, "a"),
+        f_b=_voting_rule(cfg.get("b"), ground, mode, "b"),
+        p=p,
+    )
+
+
+# Each scenario check returns its named tables, the table whose maxima are
+# the optimal pools, and its monotonicity checks.
+
+
+def _check_production(sc: TwoInputProduction) -> tuple[dict, SetFunction, dict]:
+    table = production_table(sc)
+    return {"payoffs": table}, table, {"payoff_increasing": is_increasing(table)}
+
+
+def _check_military(sc: MilitaryScenario) -> tuple[dict, SetFunction, dict]:
     both, neither, one = military_tables(sc)
-    best = optimal_strategies(both)
-    total = both + neither + one
     checks = {
         "both_disabled_increasing": is_increasing(both),
         "neither_disabled_increasing": is_increasing(neither),
         "exactly_one_decreasing": is_decreasing(one),
-        "outcomes_sum_to_one": all(close(v, 1) for v in total.values),
-        "optimal_contains_full": ground.full in best,
+        "outcomes_sum_to_one": all(close(v, 1) for v in (both + neither + one).values),
     }
-    report = {
-        "both_disabled": _table_json(both),
-        "neither_disabled": _table_json(neither),
-        "exactly_one": _table_json(one),
-        "optimal": sorted(_mask_key(ground, m) for m in best),
-        "checks": checks,
-    }
-    tables = {
-        "both_disabled": report["both_disabled"],
-        "neither_disabled": report["neither_disabled"],
-        "exactly_one": report["exactly_one"],
-    }
-    return report, tables
+    tables = {"both_disabled": both, "neither_disabled": neither, "exactly_one": one}
+    return tables, both, checks
 
 
-def _scenario_merger(cfg: Mapping, mode: str, limit: int | None) -> tuple[dict, dict]:
-    ground = _ground(cfg, "shareholders")
-    _check_max_ground(ground, limit)
-    p = _coins(cfg, ground, mode)
-    try:
-        sc = MergerScenario(
-            ground,
-            f_a=_voting_rule(cfg.get("a"), ground, mode, "a"),
-            f_b=_voting_rule(cfg.get("b"), ground, mode, "b"),
-            p=p,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _check_merger(sc: MergerScenario) -> tuple[dict, SetFunction, dict]:
     table = merger_table(sc)
-    best = optimal_strategies(table)
-    checks = {
-        "probability_increasing": is_increasing(table),
-        "optimal_contains_full": ground.full in best,
-    }
-    report = {
-        "approval_probability": _table_json(table),
-        "optimal": sorted(_mask_key(ground, m) for m in best),
-        "checks": checks,
-    }
-    return report, {"approval_probability": report["approval_probability"]}
+    return {"approval_probability": table}, table, {"probability_increasing": is_increasing(table)}
+
+
+def _check_scenario(check, sc) -> tuple[dict, list[int], dict]:
+    """Tables, optimal pools and checks, including that the full pool is optimal."""
+    tables, objective, checks = check(sc)
+    best = optimal_strategies(objective)
+    checks["optimal_contains_full"] = sc.ground.full in best
+    return tables, best, checks
+
+
+# kind -> (ground-set field, config parser, scenario check)
+SCENARIOS = {
+    "production": ("suppliers", _production, _check_production),
+    "military": ("sites", _military, _check_military),
+    "merger": ("shareholders", _merger, _check_merger),
+}
 
 
 def _cmd_scenario(args) -> int:
-    cfg, mode = _load_config(args.config, args.mode, ("production", "military", "merger"))
+    cfg, mode = _load_config(args.config, args.mode, tuple(SCENARIOS))
     kind = cfg["kind"]
-    body, tables = {
-        "production": _scenario_production,
-        "military": _scenario_military,
-        "merger": _scenario_merger,
-    }[kind](cfg, mode, args.max_ground)
-    ok = all(body["checks"].values())
-    report = {"kind": kind, "mode": mode, **body, "verdict": "pass" if ok else "fail"}
+    field, parse, check = SCENARIOS[kind]
+    ground = _ground(cfg, field, args.max_ground)
+    p = _coins(cfg, ground, mode)
+    try:
+        sc = parse(cfg, ground, mode, p)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    tables, best, checks = _check_scenario(check, sc)
+    tables = {name: _table_json(t) for name, t in tables.items()}
+    report = {
+        "kind": kind,
+        "mode": mode,
+        **tables,
+        "optimal": sorted(_mask_key(ground, m) for m in best),
+        "checks": checks,
+        "verdict": "pass" if all(checks.values()) else "fail",
+    }
     _emit(report, args.out, tables, args.csv)
     return _exit_code(report)
 
@@ -441,15 +445,9 @@ def _cmd_scenario(args) -> int:
 # ---------------------------------------------------------------- game
 
 
-def _game_spec(cfg: Mapping, mode: str) -> GameSpec:
-    commodities = cfg.get("commodities")
-    suppliers = cfg.get("suppliers")
-    if not isinstance(commodities, list) or not isinstance(suppliers, list):
-        raise ConfigError("commodities and suppliers must be lists of names")
-    try:
-        hground = GroundSet(suppliers)
-    except ValueError as exc:
-        raise ConfigError(f"suppliers: {exc}") from None
+def _game_spec(cfg: Mapping, mode: str, limit: int | None) -> GameSpec:
+    commodities = _names(cfg, "commodities")
+    hground = _ground(cfg, "suppliers", limit, reserved=FORMS)
     p = _coins(cfg, hground, mode)
     supply = cfg.get("supply")
     if not isinstance(supply, dict):
@@ -461,7 +459,7 @@ def _game_spec(cfg: Mapping, mode: str) -> GameSpec:
     for k, entry in payoffs_obj.items():
         if not isinstance(entry, dict):
             raise ConfigError(f"payoffs.{k}: expected an object")
-        if any(key in entry for key in ("table", "weights", "constant")):
+        if any(key in entry for key in FORMS):
             payoffs[k] = _setfunction(entry, hground, mode, f"payoffs.{k}")
         else:
             payoffs[k] = {
@@ -469,7 +467,7 @@ def _game_spec(cfg: Mapping, mode: str) -> GameSpec:
                 for h, sub in entry.items()
             }
     try:
-        return GameSpec.build(commodities, suppliers, supply, p, payoffs)
+        return GameSpec.build(commodities, hground.labels, supply, p, payoffs)
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -494,12 +492,6 @@ def _profile_key(profile: StrategyProfile) -> str:
     return ";".join(
         s.owner + ":" + "|".join(",".join(b) for b in s.blocks) for s in profile.strategies
     )
-
-
-def _iter_profiles(spec: GameSpec):
-    lists = [spec.strategies(h) for h in spec.suppliers]
-    for combo in itertools.product(*lists):
-        yield StrategyProfile(combo)
 
 
 def _expost_sweep(spec: GameSpec, profile: StrategyProfile) -> dict:
@@ -552,29 +544,34 @@ def _expost_sweep(spec: GameSpec, profile: StrategyProfile) -> dict:
     return {"checked": checked, "holds": True, "violation": None}
 
 
+def _game_verdict(spec: GameSpec) -> tuple[list, list[StrategyProfile], bool]:
+    """Dominance certificate of every player, the pure Nash set, and whether
+    the all-coarse profile is in it."""
+    certs = [check_dominance(spec, h) for h in spec.suppliers]
+    nash = find_nash(spec)
+    return certs, nash, spec.coarse_profile() in nash
+
+
 def _cmd_game_analyze(args) -> int:
     cfg, mode = _load_config(args.config, args.mode, ("game",))
-    spec = _game_spec(cfg, mode)
-    _check_max_ground(spec.p.ground, args.max_ground)
+    spec = _game_spec(cfg, mode, args.max_ground)
     profile = _game_profile(cfg, spec)
     lists = [spec.strategies(h) for h in spec.suppliers]
-    profile_count = 1
-    for lst in lists:
-        profile_count *= len(lst)
+    profile_count = math.prod(len(lst) for lst in lists)
 
     payoff_tables: dict[str, dict[str, object]] | None = None
     if profile_count <= GAME_TABLE_CAP:
         payoff_tables = {h: {} for h in spec.suppliers}
-        for prof in _iter_profiles(spec):
+        for combo in itertools.product(*lists):
+            prof = StrategyProfile(combo)
             key = _profile_key(prof)
             for h in spec.suppliers:
                 payoff_tables[h][key] = format_value(expected_payoff(spec, prof, h))
 
+    certs, nash, nash_has_coarse = _game_verdict(spec)
+    all_hold = all(c.holds for c in certs)
     dominance = {}
-    all_hold = True
-    for h in spec.suppliers:
-        cert = check_dominance(spec, h)
-        all_hold = all_hold and cert.holds
+    for cert in certs:
         entry: dict[str, object] = {"holds": cert.holds}
         if cert.violation is not None:
             entry["violation"] = {
@@ -586,11 +583,7 @@ def _cmd_game_analyze(args) -> int:
                 "payoff_better": format_value(cert.violation.payoff_better),
                 "payoff_worse": format_value(cert.violation.payoff_worse),
             }
-        dominance[h] = entry
-
-    nash = find_nash(spec)
-    coarse = spec.coarse_profile()
-    nash_has_coarse = coarse in nash
+        dominance[cert.player] = entry
 
     expost_profile = profile if profile is not None else spec.finest_profile()
     expost = _expost_sweep(spec, expost_profile)
@@ -605,7 +598,7 @@ def _cmd_game_analyze(args) -> int:
         "nash": [_profile_json(prof) for prof in nash],
         "nash_contains_all_coarse": nash_has_coarse,
         "expost": expost,
-        "verdict": "pass" if (all_hold and nash_has_coarse and expost["holds"]) else "fail",
+        "verdict": "pass" if all_hold and nash_has_coarse and expost["holds"] else "fail",
     }
     if payoff_tables is not None:
         report["payoff_tables"] = payoff_tables
@@ -618,10 +611,15 @@ def _cmd_game_analyze(args) -> int:
     return _exit_code(report)
 
 
+def _within_band(est, exact: float) -> bool:
+    """A Monte Carlo estimate agrees with the exact value: within four
+    standard errors, or equal up to the numeric tolerance."""
+    return abs(est.mean - exact) <= 4 * est.stderr or close(est.mean, exact)
+
+
 def _cmd_game_simulate(args) -> int:
     cfg, mode = _load_config(args.config, args.mode, ("game",))
-    spec = _game_spec(cfg, mode)
-    _check_max_ground(spec.p.ground, args.max_ground)
+    spec = _game_spec(cfg, mode, args.max_ground)
     profile = _game_profile(cfg, spec)
     if profile is None:
         profile = spec.coarse_profile()
@@ -630,8 +628,7 @@ def _cmd_game_simulate(args) -> int:
     for idx, h in enumerate(spec.suppliers):
         est = estimate_payoff(spec, profile, h, args.samples, args.seed + idx)
         exact = float(expected_payoff(spec, profile, h))
-        err = abs(est.mean - exact)
-        within = err <= 4 * est.stderr or close(est.mean, exact)
+        within = _within_band(est, exact)
         ok = ok and within
         per_player[h] = {
             "estimate": {
@@ -657,11 +654,14 @@ def _cmd_game_simulate(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _verify_monotone_exhaustive(seed: int, max_ground: int) -> dict:
+# Each sweep yields one (instances, certificate) step per instance it checks;
+# the certificate is None while the property holds.
+
+
+def _verify_monotone_exhaustive(seed: int, max_ground: int):
     from .lattice import all_monotone_indicators
 
     grid = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    instances = 0
     for n in range(1, min(3, max_ground) + 1):
         ground = GroundSet([f"h{i}" for i in range(n)])
         fns = all_monotone_indicators(ground)
@@ -669,39 +669,33 @@ def _verify_monotone_exhaustive(seed: int, max_ground: int) -> dict:
             p = CoinVector(ground, ps)
             for f in fns:
                 for g in fns:
-                    table = convolve(f, g, p)
-                    instances += 1
-                    if not is_increasing(table):
-                        return _check("monotone_exhaustive", instances, {
-                            "n": n,
-                            "p": [format_value(v) for v in ps],
-                            "f": [int(v) for v in f.values],
-                            "g": [int(v) for v in g.values],
-                        })
-    return _check("monotone_exhaustive", instances)
+                    ok = is_increasing(convolve(f, g, p))
+                    yield 1, (None if ok else {
+                        "n": n,
+                        "p": [format_value(v) for v in ps],
+                        "f": [int(v) for v in f.values],
+                        "g": [int(v) for v in g.values],
+                    })
 
 
-def _verify_monotone_random(seed: int, max_ground: int, count: int = 800) -> dict:
+def _verify_monotone_random(seed: int, max_ground: int, count: int = 800):
     rng = random.Random(seed)
-    instances = 0
     for _ in range(count):
         n = rng.randint(1, min(6, max_ground))
         ground = GroundSet([f"h{i}" for i in range(n)])
         f = random_increasing(rng, ground, rng.randint(0, 2 * n + 2))
         g = random_increasing(rng, ground, rng.randint(0, 2 * n + 2))
         p = generators.random_coin_vector(rng, ground, degenerate=True)
-        table = convolve(f, g, p)
-        instances += 1
-        if not is_increasing(table):
-            return _check("monotone_random", instances, {"n": n})
-        if not geq(harris_gap(f, g, p), 0):
-            return _check("monotone_random", instances, {"n": n, "property": "harris"})
-    return _check("monotone_random", instances)
+        if not is_increasing(convolve(f, g, p)):
+            yield 1, {"n": n}
+        elif not geq(harris_gap(f, g, p), 0):
+            yield 1, {"n": n, "property": "harris"}
+        else:
+            yield 1, None
 
 
-def _verify_oracle(seed: int, max_ground: int, count: int = 120) -> dict:
+def _verify_oracle(seed: int, max_ground: int, count: int = 120):
     rng = random.Random(seed)
-    instances = 0
     for _ in range(count):
         n = rng.randint(1, min(6, max_ground))
         exact = n <= 4 and rng.random() < 0.5
@@ -710,119 +704,100 @@ def _verify_oracle(seed: int, max_ground: int, count: int = 120) -> dict:
         g = generators.random_setfunction(rng, ground, exact=exact)
         p = generators.random_coin_vector(rng, ground, exact=exact, degenerate=True)
         table = convolve(f, g, p)
-        instances += 1
+        certificate = None
         for mask in ground.subsets():
             direct = convolve_bruteforce(f, g, p, mask)
             if not close(table.values[mask], direct):
-                return _check("oracle_equivalence", instances, {
+                certificate = {
                     "n": n,
                     "subset": _mask_key(ground, mask),
                     "fast": format_value(table.values[mask]),
                     "direct": format_value(direct),
-                })
-    return _check("oracle_equivalence", instances)
+                }
+                break
+        yield 1, certificate
 
 
-def _verify_single_element_identity(seed: int, count: int = 400) -> dict:
+def _verify_single_element_identity(seed: int, count: int = 400):
     rng = random.Random(seed)
     ground = GroundSet(["h0"])
-    instances = 0
     for _ in range(count):
         a, a1, b, b1 = (Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(4))
         ph = Fraction(rng.randint(0, 12), 12)
         table = convolve(
             SetFunction(ground, (a, a1)), SetFunction(ground, (b, b1)), CoinVector(ground, (ph,))
         )
-        instances += 1
-        if table.values[1] - table.values[0] != ph * (1 - ph) * (a1 - a) * (b1 - b):
-            return _check("single_element_identity", instances, {
-                "f": [format_value(a), format_value(a1)],
-                "g": [format_value(b), format_value(b1)],
-                "p": format_value(ph),
-            })
-    return _check("single_element_identity", instances)
+        ok = table.values[1] - table.values[0] == ph * (1 - ph) * (a1 - a) * (b1 - b)
+        yield 1, (None if ok else {
+            "f": [format_value(a), format_value(a1)],
+            "g": [format_value(b), format_value(b1)],
+            "p": format_value(ph),
+        })
 
 
-def _verify_scenarios(seed: int, max_ground: int, count: int = 80) -> dict:
+def _verify_scenarios(seed: int, max_ground: int, count: int = 80):
     rng = random.Random(seed)
-    instances = 0
     cap = min(5, max_ground)
     for _ in range(count):
         n = rng.randint(1, cap)
         ground = GroundSet([f"h{i}" for i in range(n)])
-        sc_p = generators.random_production(rng, ground)
-        t1 = production_table(sc_p)
-        ok = is_increasing(t1) and ground.full in optimal_strategies(t1)
-        sc_m = generators.random_military(rng, ground)
-        both, neither, one = military_tables(sc_m)
-        ok = ok and is_increasing(both) and is_increasing(neither) and is_decreasing(one)
-        ok = ok and all(close(v, 1) for v in (both + neither + one).values)
-        ok = ok and ground.full in optimal_strategies(both)
-        sc_g = generators.random_merger(rng, ground)
-        t3 = merger_table(sc_g)
-        ok = ok and is_increasing(t3) and ground.full in optimal_strategies(t3)
-        instances += 1
-        if not ok:
-            return _check("scenario_properties", instances, {"n": n, "seed": seed})
-    return _check("scenario_properties", instances)
+        scenarios = (
+            (_check_production, generators.random_production(rng, ground)),
+            (_check_military, generators.random_military(rng, ground)),
+            (_check_merger, generators.random_merger(rng, ground)),
+        )
+        ok = all(all(_check_scenario(check, sc)[2].values()) for check, sc in scenarios)
+        yield 1, (None if ok else {"n": n, "seed": seed})
 
 
-def _verify_games(seed: int, count: int = 12) -> dict:
+def _verify_games(seed: int, count: int = 12):
     rng = random.Random(seed)
-    instances = 0
     for idx in range(count):
         strict = idx % 3 == 0
         spec = generators.random_game_spec(rng, strict=strict)
-        for h in spec.suppliers:
-            cert = check_dominance(spec, h)
-            if not cert.holds:
-                return _check("game_dominance_nash", instances, {"player": h})
-        nash = find_nash(spec)
-        coarse = spec.coarse_profile()
-        instances += 1
-        if coarse not in nash:
-            return _check("game_dominance_nash", instances, {"missing": "all-coarse profile"})
-        if strict and len(nash) != 1:
-            return _check("game_dominance_nash", instances, {
-                "expected": "unique equilibrium under strict payoffs",
-                "found": len(nash),
-            })
-    return _check("game_dominance_nash", instances)
+        certs, nash, nash_has_coarse = _game_verdict(spec)
+        failed = next((c.player for c in certs if not c.holds), None)
+        if failed is not None:
+            yield 1, {"player": failed}
+        elif not nash_has_coarse:
+            yield 1, {"missing": "all-coarse profile"}
+        elif strict and len(nash) != 1:
+            yield 1, {"expected": "unique equilibrium under strict payoffs", "found": len(nash)}
+        else:
+            yield 1, None
 
 
-def _verify_expost(seed: int, count: int = 30) -> dict:
+def _verify_expost(seed: int, count: int = 30):
     rng = random.Random(seed)
-    instances = 0
     for _ in range(count):
         spec = generators.random_game_spec(rng)
         profile = generators.random_profile(rng, spec)
         result = _expost_sweep(spec, profile)
-        instances += result["checked"]
-        if not result["holds"]:
-            return _check("expost_identity", instances, result["violation"])
-    return _check("expost_identity", instances)
+        yield result["checked"], result["violation"]
 
 
-def _verify_scaling(seed: int, count: int = 15) -> dict:
+def _verify_scaling(seed: int, count: int = 15):
     rng = random.Random(seed)
-    instances = 0
     for _ in range(count):
         spec = generators.random_game_spec(rng)
         kappa = {h: Fraction(rng.randint(1, 40), 4) for h in spec.suppliers}
         scaled = scaled_spec(spec, kappa)
         profile = generators.random_profile(rng, spec)
-        instances += 1
-        for h in spec.suppliers:
-            if best_replies(spec, profile, h) != best_replies(scaled, profile, h):
-                return _check("scaling_invariance", instances, {"player": h})
-        if find_nash(spec) != find_nash(scaled):
-            return _check("scaling_invariance", instances, {"difference": "nash set"})
-    return _check("scaling_invariance", instances)
+        moved = next(
+            (h for h in spec.suppliers
+             if best_replies(spec, profile, h) != best_replies(scaled, profile, h)),
+            None,
+        )
+        if moved is not None:
+            yield 1, {"player": moved}
+        elif find_nash(spec) != find_nash(scaled):
+            yield 1, {"difference": "nash set"}
+        else:
+            yield 1, None
 
 
-def _verify_montecarlo(seed: int, samples: int, count: int = 10) -> dict:
+def _verify_montecarlo(seed: int, samples: int, count: int = 10):
     rng = random.Random(seed)
-    instances = 0
     for idx in range(count):
         if idx % 2 == 0:
             spec = generators.random_game_spec(rng)
@@ -839,17 +814,20 @@ def _verify_montecarlo(seed: int, samples: int, count: int = 10) -> dict:
             mask = rng.randrange(1 << n)
             exact = float(convolve(f, g, p).values[mask])
             est = estimate_convolution(f, g, p, mask, samples, seed + 1000 + idx)
-        instances += 1
-        if abs(est.mean - exact) > 4 * est.stderr and not close(est.mean, exact):
-            return _check("montecarlo_consistency", instances, {
-                "exact": exact,
-                "mean": est.mean,
-                "stderr": est.stderr,
-            })
-    return _check("montecarlo_consistency", instances)
+        yield 1, (None if _within_band(est, exact) else {
+            "exact": exact,
+            "mean": est.mean,
+            "stderr": est.stderr,
+        })
 
 
-def _check(name: str, instances: int, certificate: dict | None = None) -> dict:
+def _sweep(name: str, steps) -> dict:
+    """Run a sweep up to its first certificate, counting the instances checked."""
+    instances, certificate = 0, None
+    for count, certificate in steps:
+        instances += count
+        if certificate is not None:
+            break
     return {
         "name": name,
         "instances": instances,
@@ -860,15 +838,15 @@ def _check(name: str, instances: int, certificate: dict | None = None) -> dict:
 
 def _cmd_verify(args) -> int:
     checks = [
-        _verify_monotone_exhaustive(args.seed, args.max_ground),
-        _verify_monotone_random(args.seed + 1, args.max_ground),
-        _verify_oracle(args.seed + 2, args.max_ground),
-        _verify_single_element_identity(args.seed + 3),
-        _verify_scenarios(args.seed + 4, args.max_ground),
-        _verify_games(args.seed + 5),
-        _verify_expost(args.seed + 6),
-        _verify_scaling(args.seed + 7),
-        _verify_montecarlo(args.seed + 8, args.samples),
+        _sweep("monotone_exhaustive", _verify_monotone_exhaustive(args.seed, args.max_ground)),
+        _sweep("monotone_random", _verify_monotone_random(args.seed + 1, args.max_ground)),
+        _sweep("oracle_equivalence", _verify_oracle(args.seed + 2, args.max_ground)),
+        _sweep("single_element_identity", _verify_single_element_identity(args.seed + 3)),
+        _sweep("scenario_properties", _verify_scenarios(args.seed + 4, args.max_ground)),
+        _sweep("game_dominance_nash", _verify_games(args.seed + 5)),
+        _sweep("expost_identity", _verify_expost(args.seed + 6)),
+        _sweep("scaling_invariance", _verify_scaling(args.seed + 7)),
+        _sweep("montecarlo_consistency", _verify_montecarlo(args.seed + 8, args.samples)),
     ]
     ok = all(c["ok"] for c in checks)
     report = {

@@ -20,7 +20,7 @@ from .lattice import (
     SetFunction,
     is_increasing,
 )
-from .numerics import Value, argmax_ties, geq, power, stable_sum
+from .numerics import Value, argmax_ties, geq, is_exact, power, stable_sum
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,8 @@ class TwoInputProduction:
     Supplier h ships x[h] of the first input and y[h] of the second when
     its delivery succeeds.  Plant outputs are (sum x)**alpha and
     (sum y)**beta over the suppliers that delivered, with 0**a := 0.
+    An exact (int or Fraction) exponent must be an integer, so that exact
+    inputs give an exact table; a fractional power needs a float exponent.
     """
 
     ground: GroundSet
@@ -52,6 +54,13 @@ class TwoInputProduction:
             raise ValueError("input quantities must be nonnegative")
         if not self.alpha > 0 or not self.beta > 0:
             raise ValueError("exponents must be positive")
+        for name in ("alpha", "beta"):
+            expo = getattr(self, name)
+            if is_exact(expo) and expo.denominator != 1:
+                raise ValueError(
+                    f"{name}: an exact exponent must be an integer exponent, got {expo}; "
+                    "fractional powers are computed in floats, so give a float"
+                )
         if p.ground != ground:
             raise ValueError("coin vector lives on a different ground set")
 

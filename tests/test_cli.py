@@ -12,6 +12,7 @@ from riskpool.cli import main
 from riskpool.convolution import convolve
 from riskpool.lattice import CoinVector, GroundSet, SetFunction
 from riskpool.numerics import parse_value
+from riskpool.partition_game import DominanceCertificate
 
 CONV_CONFIG = {
     "kind": "convolution",
@@ -251,6 +252,27 @@ def test_verify_small_run_passes(tmp_path, capsys):
     assert captured.err.count(": ok") == 9
 
 
+def test_verify_reports_a_failing_sweep(monkeypatch, capsys):
+    # a dominance check that always fails: the games sweep stops at its first
+    # game, counts it, and certifies the first player; the other sweeps pass
+    monkeypatch.setattr(
+        "riskpool.cli.check_dominance",
+        lambda spec, h: DominanceCertificate(player=h, holds=False, violation=None),
+    )
+    code = main(["verify", "--max-ground", "3", "--samples", "2000", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    report = json.loads(captured.out)
+    assert report["verdict"] == "fail"
+    failing = [c for c in report["checks"] if not c["ok"]]
+    assert [c["name"] for c in failing] == ["game_dominance_nash"]
+    assert failing[0]["instances"] == 1
+    assert failing[0]["certificate"] == {"player": "s1"}
+    assert all(c["certificate"] is None for c in report["checks"] if c["ok"])
+    assert "game_dominance_nash: FAIL (1 instances)" in captured.err
+    assert captured.err.count(": ok") == 8
+
+
 # -- error handling ----------------------------------------------------------------
 
 
@@ -296,6 +318,76 @@ def test_duplicate_subset_keys_rejected(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert "'a,b'" in err and "'b,a'" in err
+
+
+def test_label_holding_a_comma_rejected(tmp_path, capsys):
+    # "a,b" as a label would give the subsets {a, b} and {"a,b"} one report key
+    cfg = dict(
+        CONV_CONFIG,
+        ground=["a", "b", "a,b"],
+        p={"a": "1/2", "b": "1/2", "a,b": "1/2"},
+        f={"constant": 1},
+        g={"constant": 2},
+    )
+    code, out, err = _run(capsys, ["convolve", "--config", _write(tmp_path, "c.json", cfg)])
+    assert code == 2
+    assert out == ""
+    assert "ground" in err and "'a,b'" in err
+
+
+def test_empty_label_rejected(tmp_path, capsys):
+    # "" as a label would share the report key "" with the empty set
+    cfg = dict(CONV_CONFIG, ground=["", "a"], p={"": "1/2", "a": "1/2"},
+               f={"constant": 1}, g={"constant": 2})
+    code, out, err = _run(capsys, ["convolve", "--config", _write(tmp_path, "c.json", cfg)])
+    assert code == 2
+    assert out == ""
+    assert "ground" in err and "''" in err
+
+
+NAME_LISTS = [
+    ("convolve", CONV_CONFIG, "ground"),
+    ("scenario", {"kind": "production"}, "suppliers"),
+    ("scenario", {"kind": "military"}, "sites"),
+    ("scenario", {"kind": "merger"}, "shareholders"),
+    ("game analyze", GAME_CONFIG, "suppliers"),
+    ("game analyze", GAME_CONFIG, "commodities"),
+]
+
+
+@pytest.mark.parametrize("command, base, field", NAME_LISTS)
+@pytest.mark.parametrize("bad", ["", "x,y", "x|y", "x;y", "x:y"])
+def test_names_breaking_report_keys_rejected_in_every_list(
+    tmp_path, capsys, command, base, field, bad
+):
+    cfg = _write(tmp_path, "c.json", dict(base, **{field: ["a", bad]}))
+    code, out, err = _run(capsys, [*command.split(), "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert field in err and repr(bad) in err
+
+
+@pytest.mark.parametrize("name", ["table", "weights", "constant"])
+def test_supplier_named_like_a_payoff_form_rejected(tmp_path, capsys, name):
+    # per-supplier payoffs are told apart from a shared set function by their keys
+    def game(h):
+        one = {"constant": 1}
+        return dict(
+            GAME_CONFIG,
+            suppliers=[h, "h2"],
+            p={h: "1/2", "h2": "3/4"},
+            supply={h: ["oil", "gas"], "h2": ["oil"]},
+            payoffs={k: {h: one, "h2": one} for k in ("oil", "gas")},
+            profile={h: [["oil"], ["gas"]], "h2": [["oil"]]},
+        )
+
+    ok = _write(tmp_path, "ok.json", game("h1"))
+    assert _run(capsys, ["game", "analyze", "--config", ok])[0] == 0
+    bad = _write(tmp_path, "bad.json", game(name))
+    code, out, err = _run(capsys, ["game", "analyze", "--config", bad])
+    assert code == 2
+    assert out == ""
+    assert "suppliers" in err and f"{name!r} is reserved" in err
 
 
 def test_non_up_closed_members_rejected(tmp_path, capsys):

@@ -104,6 +104,20 @@ def test_production_validation():
         TwoInputProduction(g, (1, 2), (1,), 1, 1, p)
 
 
+def test_production_refuses_fractional_exact_exponent():
+    g = _ground(2)
+    p = CoinVector(g, (Fraction(1, 2), Fraction(3, 4)))
+    for field in ("alpha", "beta"):
+        expos = {"alpha": 2, "beta": 1, field: Fraction(1, 2)}
+        with pytest.raises(ValueError, match=f"{field}.*integer exponent"):
+            TwoInputProduction(g, (4, 1), (9, 0), p=p, **expos)
+    # an integral Fraction stays exact; a float exponent still falls back to float
+    exact = production_table(TwoInputProduction(g, (4, 1), (9, 0), Fraction(2), 1, p))
+    assert exact.exact and exact.values[-1] == Fraction(3, 8) * 25 * 9 + Fraction(1, 8) * 16 * 9
+    floats = production_table(TwoInputProduction(g, (4, 1), (9, 0), 0.5, 1, p))
+    assert not floats.exact and all(isinstance(v, float) for v in floats.values)
+
+
 def test_production_increasing_random():
     rng = random.Random(62)
     for _ in range(30):
