@@ -499,16 +499,17 @@ def _expost_sweep(spec: GameSpec, profile: StrategyProfile) -> dict:
     if total_blocks > EXPOST_BLOCK_CAP:
         raise ConfigError(f"ex-post sweep is limited to {EXPOST_BLOCK_CAP} blocks")
     checked = 0
+    others = [
+        (gi, bi)
+        for gi, s in enumerate(profile.strategies)
+        for bi in range(len(s.blocks))
+    ]
     for hi, h in enumerate(spec.suppliers):
         strat = profile.strategies[hi]
         nb = len(strat.blocks)
         if nb < 2:
             continue
-        others = [
-            (gi, bi)
-            for gi, s in enumerate(profile.strategies)
-            for bi in range(len(s.blocks))
-        ]
+        ph = spec.p.p[hi]
         for i in range(nb):
             for j in range(i + 1, nb):
                 free = [(gi, bi) for gi, bi in others if not (gi == hi and bi in (i, j))]
@@ -523,7 +524,6 @@ def _expost_sweep(spec: GameSpec, profile: StrategyProfile) -> dict:
                     a0, a1, b0, b1, c = conditional_block_factors(
                         spec, profile, h, i, j, conditioning
                     )
-                    ph = spec.p.p[hi]
                     identity = ph * (1 - ph) * (a1 - a0) * (b1 - b0) * c
                     checked += 1
                     if not geq(merged, sep) or not close(merged - sep, identity):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -172,6 +172,15 @@ class GameSpec:
     supplier set that delivered commodity k, entering player h's product
     payoff.  The symmetric flag records that payoffs do not depend on h,
     and is validated, not trusted.
+
+    The spec memoizes every player's expected payoff per profile, so each
+    distinct profile costs one sweep over its outcome atoms, whichever of
+    expected_payoff, best_replies, check_dominance or find_nash asks first.
+    The memo lives and dies with the spec and holds one tuple per distinct
+    profile asked for; the exhaustive sweeps refuse games of more than
+    MAX_PROFILES profiles, so they leave at most that many.  It takes no
+    part in equality, hashing or repr, and a spec derived from this one,
+    such as scaled_spec's, starts with an empty memo.
     """
 
     commodities: tuple[str, ...]
@@ -180,6 +189,9 @@ class GameSpec:
     p: CoinVector
     payoffs: tuple[tuple[SetFunction, ...], ...]
     symmetric: bool
+    _payoff_memo: dict[StrategyProfile, tuple[Value, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if len(set(self.commodities)) != len(self.commodities):
@@ -424,18 +436,17 @@ def _int_table(values: Sequence[Value]) -> tuple[list[int], int]:
     return [int(v * den) for v in values], den
 
 
-def _payoffs_for(
-    spec: GameSpec, profile: StrategyProfile, players: Sequence[int]
-) -> list[Value]:
-    """Expected payoffs of the given player indices under the profile.
+def _payoffs_for(spec: GameSpec, profile: StrategyProfile) -> tuple[Value, ...]:
+    """Expected payoff of every supplier in one pass over the atoms.
 
     Exact mode sums integer terms and divides once by the atom and table
     scales; float mode sums its terms with fsum.
     """
     exact = _spec_exact(spec)
     atoms, denom = _arrival_atoms(spec, profile, exact)
+    players = len(spec.suppliers)
     # One table set per distinct payoff: a symmetric game shares the first.
-    owners = players[:1] if spec.symmetric else players
+    owners = range(1 if spec.symmetric else players)
     tables: list[list[Sequence[Value]]] = []
     scales: list[int] = []
     for hi in owners:
@@ -461,17 +472,26 @@ def _payoffs_for(
         values = [Fraction(total, scale) for total, scale in zip(totals, scales)]
     else:
         values = [stable_sum(ts) for ts in terms]
-    return values * len(players) if spec.symmetric else values
+    return tuple(values * players if spec.symmetric else values)
 
 
 def _profile_payoffs(spec: GameSpec, profile: StrategyProfile) -> tuple[Value, ...]:
-    """Expected payoff of every supplier in one pass over the atoms."""
-    return tuple(_payoffs_for(spec, profile, range(len(spec.suppliers))))
+    """Every supplier's expected payoff, swept once per profile and spec."""
+    pays = spec._payoff_memo.get(profile)
+    if pays is None:
+        pays = spec._payoff_memo[profile] = _payoffs_for(spec, profile)
+    return pays
 
 
 def expected_payoff(spec: GameSpec, profile: StrategyProfile, h: str) -> Value:
-    """E[prod over k of F_k^h(S_k)] under the profile's shipment coins."""
-    return _payoffs_for(spec, profile, [spec.h_index(h)])[0]
+    """E[prod over k of F_k^h(S_k)] under the profile's shipment coins.
+
+    The first request for a profile computes every player's payoff in one
+    sweep and keeps them on the spec; later requests, for any player, read
+    them back.
+    """
+    hi = spec.h_index(h)
+    return _profile_payoffs(spec, profile)[hi]
 
 
 def expected_output(spec: GameSpec, profile: StrategyProfile) -> Value:
@@ -663,25 +683,28 @@ def find_nash(spec: GameSpec) -> list[StrategyProfile]:
     """All pure-strategy profiles in which every strategy is a best reply."""
     lists = _strategy_lists(spec)
     ranges = [range(len(lst)) for lst in lists]
-    payoff_at: dict[tuple[int, ...], tuple[Value, ...]] = {}
-    for combo in itertools.product(*ranges):
-        profile = StrategyProfile(lists[gi][ci] for gi, ci in enumerate(combo))
-        payoff_at[combo] = _profile_payoffs(spec, profile)
+
+    def swept() -> Iterator[tuple[tuple[int, ...], StrategyProfile, tuple[Value, ...]]]:
+        # The payoffs live in the spec's memo; both passes read them there.
+        for combo in itertools.product(*ranges):
+            profile = StrategyProfile(lists[gi][ci] for gi, ci in enumerate(combo))
+            yield combo, profile, _profile_payoffs(spec, profile)
+
     best: list[dict[tuple[int, ...], Value]] = [{} for _ in lists]
-    for combo, pays in payoff_at.items():
+    for combo, _, pays in swept():
         for gi, val in enumerate(pays):
             key = combo[:gi] + combo[gi + 1 :]
             cur = best[gi].get(key)
             if cur is None or val > cur:
                 best[gi][key] = val
-    out = []
-    for combo, pays in payoff_at.items():
+    return [
+        profile
+        for combo, profile, pays in swept()
         if all(
             geq(val, best[gi][combo[:gi] + combo[gi + 1 :]])
             for gi, val in enumerate(pays)
-        ):
-            out.append(StrategyProfile(lists[gi][ci] for gi, ci in enumerate(combo)))
-    return out
+        )
+    ]
 
 
 def scaled_spec(spec: GameSpec, kappa: Mapping[str, Value]) -> GameSpec:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from riskpool import partition_game
 from riskpool.generators import random_game_spec, random_profile
 from riskpool.lattice import CoinVector, GroundSet, SetFunction
 from riskpool.numerics import close
@@ -249,23 +250,25 @@ def test_expected_output_requires_symmetric():
         expected_output(spec, spec.coarse_profile())
 
 
+def _oracle_payoff(spec, profile, h):
+    """h's payoff under the profile from the independent block-pattern oracle."""
+    blocks = [(s.owner, frozenset(b)) for s in profile.strategies for b in s.blocks]
+    p_of = {g: spec.p.of(g) for g in spec.suppliers}
+    payoff = {}
+    for k in spec.commodities:
+        fn = spec.payoff_fn(k, h)
+        for m in fn.ground.subsets():
+            payoff[(k, frozenset(fn.ground.labels_of(m)))] = fn.values[m]
+    return oracles.game_payoff(blocks, p_of, payoff, h)
+
+
 def test_payoff_matches_block_enumeration_oracle():
     rng = random.Random(83)
     for _ in range(20):
         spec = random_game_spec(rng)
         profile = random_profile(rng, spec)
-        blocks = [
-            (s.owner, frozenset(b)) for s in profile.strategies for b in s.blocks
-        ]
-        p_of = {h: spec.p.of(h) for h in spec.suppliers}
         for h in spec.suppliers:
-            payoff = {}
-            for k in spec.commodities:
-                fn = spec.payoff_fn(k, h)
-                for m in fn.ground.subsets():
-                    payoff[(k, frozenset(fn.ground.labels_of(m)))] = fn.values[m]
-            want = oracles.game_payoff(blocks, p_of, payoff, h)
-            assert expected_payoff(spec, profile, h) == want
+            assert expected_payoff(spec, profile, h) == _oracle_payoff(spec, profile, h)
 
 
 def test_exact_and_float_paths_agree():
@@ -316,16 +319,92 @@ def test_profile_validation():
     wrong_owner = StrategyProfile(
         [coarse_strategy("h2", ["a", "b"]), coarse_strategy("h2", ["a"])]
     )
-    with pytest.raises(ValueError):
-        expected_payoff(spec, wrong_owner, "h1")
     wrong_cover = StrategyProfile(
         [coarse_strategy("h1", ["a"]), coarse_strategy("h2", ["a"])]
     )
-    with pytest.raises(ValueError):
-        expected_payoff(spec, wrong_cover, "h1")
     short = StrategyProfile([coarse_strategy("h1", ["a", "b"])])
-    with pytest.raises(ValueError):
-        expected_payoff(spec, short, "h1")
+    # The second pass runs with every valid profile's payoffs memoized:
+    # invalid profiles must still be refused rather than matched to them.
+    for _ in range(2):
+        for bad in (wrong_owner, wrong_cover, short):
+            with pytest.raises(ValueError):
+                expected_payoff(spec, bad, "h1")
+        find_nash(spec)
+
+
+def _three_supplier_spec(exact):
+    """h1 owns a, b, c; h2 owns a, b; h3 owns c: 5 x 2 x 1 = 10 profiles.
+
+    Exact mode gives every player its own payoff families (asymmetric);
+    float mode shares one family per commodity (symmetric).
+    """
+    g = GroundSet(["h1", "h2", "h3"])
+    ks = ["a", "b", "c"]
+
+    def family(c, t):
+        # Sums of nonnegative per-supplier weights are increasing.
+        weights = [F(1 + (c + t + i) % 3, 2 + t) for i in range(3)]
+        values = [sum(w for i, w in enumerate(weights) if m >> i & 1) for m in range(8)]
+        return SetFunction(g, tuple(v if exact else float(v) for v in values))
+
+    if exact:
+        payoffs = {k: {h: family(c, t) for t, h in enumerate(g.labels)} for c, k in enumerate(ks)}
+        p = CoinVector(g, (F(1, 3), F(3, 4), F(2, 5)))
+    else:
+        payoffs = {k: family(c, 0) for c, k in enumerate(ks)}
+        p = CoinVector(g, (0.3, 0.75, 0.6))
+    return GameSpec.build(ks, g.labels, {"h1": ks, "h2": ["a", "b"], "h3": ["c"]}, p, payoffs)
+
+
+def _all_profiles(spec):
+    return [StrategyProfile(c) for c in itertools.product(*map(spec.strategies, spec.suppliers))]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_each_profile_is_swept_once(monkeypatch, exact):
+    sweeps = []
+    arrival_atoms = partition_game._arrival_atoms
+
+    def counted(spec, profile, exact):
+        sweeps.append(profile)
+        return arrival_atoms(spec, profile, exact)
+
+    monkeypatch.setattr(partition_game, "_arrival_atoms", counted)
+    spec = _three_supplier_spec(exact)
+    assert spec.symmetric is not exact
+    profiles = _all_profiles(spec)
+    assert len(profiles) == 10
+    for h in spec.suppliers:
+        assert check_dominance(spec, h).holds
+    assert spec.coarse_profile() in find_nash(spec)
+    for profile in profiles:
+        for h in spec.suppliers:
+            best_replies(spec, profile, h)
+    for profile in profiles:
+        for h in spec.suppliers:
+            value = expected_payoff(spec, profile, h)
+            want = _oracle_payoff(spec, profile, h)
+            if exact:
+                assert isinstance(value, Fraction) and value == want
+            else:
+                assert isinstance(value, float) and close(value, want)
+    assert len(sweeps) == len(profiles)
+    assert set(sweeps) == set(profiles)
+
+
+def test_payoff_memo_stays_with_its_spec():
+    spec = _three_supplier_spec(exact=True)
+    find_nash(spec)
+    fresh = _three_supplier_spec(exact=True)
+    assert spec == fresh and hash(spec) == hash(fresh)
+    kappa = {"h1": F(5, 2), "h2": F(1, 3), "h3": 7}
+    scaled = scaled_spec(spec, kappa)
+    for profile in _all_profiles(spec):
+        for h in spec.suppliers:
+            assert expected_payoff(scaled, profile, h) == kappa[h] * expected_payoff(
+                spec, profile, h
+            )
+    assert scaled != spec
 
 
 # -- conditional two-block comparison ---------------------------------------------
