@@ -21,7 +21,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import generators
 from .convolution import convolve, convolve_bruteforce, harris_gap
@@ -867,6 +867,16 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """argparse type for a size flag: an integer no smaller than low."""
+
+    def count(raw: str) -> int:
+        if int(raw) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {raw}")
+        return int(raw)
+    return count
+
+
 def _add_common(sub: argparse.ArgumentParser, config: bool = True) -> None:
     if config:
         sub.add_argument("--config", required=True, help="path to the JSON config")
@@ -901,15 +911,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = game_sub.add_parser("simulate", help="Monte Carlo estimates against exact payoffs")
     _add_common(p_sim)
-    p_sim.add_argument("--samples", type=int, default=100000, help="sample count per player")
+    p_sim.add_argument("--samples", type=_at_least(2), default=100000, help="sample count per player")
     p_sim.add_argument("--seed", type=int, default=0, help="base seed")
     p_sim.set_defaults(func=_cmd_game_simulate)
 
     p_ver = sub.add_parser("verify", help="run the property suite at configured sizes")
     p_ver.add_argument("--out", help="directory for report.json")
-    p_ver.add_argument("--max-ground", type=int, default=5, help="largest ground set in sweeps")
+    p_ver.add_argument("--max-ground", type=_at_least(1), default=5, help="largest ground set in sweeps")
     p_ver.add_argument("--seed", type=int, default=0, help="base seed for the sweeps")
-    p_ver.add_argument("--samples", type=int, default=20000, help="Monte Carlo samples per check")
+    p_ver.add_argument("--samples", type=_at_least(2), default=20000, help="Monte Carlo samples per check")
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser

@@ -25,7 +25,6 @@ route, never to be replaced by it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -40,7 +39,7 @@ from .lattice import (
     expectation,
     submasks,
 )
-from .numerics import Value
+from .numerics import Value, clear_denominators
 
 MAX_BRUTEFORCE = 10
 
@@ -101,8 +100,7 @@ def convolve(f: SetFunction, g: SetFunction, p: CoinVector) -> SetFunction:
     tables = []
     den = 1
     for fn in (f, g):
-        lcm = math.lcm(*(v.denominator for v in fn.values))
-        ints = [v.numerator * (lcm // v.denominator) for v in fn.values]
+        ints, lcm = clear_denominators(fn.values)
         tables.append(np.array(ints, dtype=object))
         den *= lcm
     coins = []

@@ -17,7 +17,8 @@ from .partition_game import (
     GameSpec,
     StrategyProfile,
     SuccessTuple,
-    _block_commodity_indices,
+    _success_masks,
+    _table_product,
     _validate_profile,
 )
 
@@ -45,50 +46,33 @@ def substreams(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
+def _sample_masks(
+    spec: GameSpec, profile: StrategyProfile, samples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Success masks, (samples x commodities), from a Bernoulli(p_h) coin per
+    shipment.  One uniform matrix per supplier, in spec order, so replays
+    with an equally-seeded generator coincide."""
+    arrived = np.hstack([
+        rng.random((samples, len(strat.blocks))) < float(ph)
+        for ph, strat in zip(spec.p.p, profile.strategies)
+    ])
+    return _success_masks(spec, profile, arrived)
+
+
 def sample_success(
     spec: GameSpec, profile: StrategyProfile, rng: np.random.Generator
 ) -> SuccessTuple:
-    """One draw of the success tuple: a Bernoulli(p_h) coin per shipment.
-
-    Coins are consumed supplier by supplier in spec order, one uniform per
-    block, so replays with an equally-seeded generator coincide.
-    """
+    """One draw of the success tuple: a Bernoulli(p_h) coin per shipment."""
     _validate_profile(spec, profile)
-    block_idx = _block_commodity_indices(spec, profile)
-    masks = [0] * len(spec.commodities)
-    for hi, strat in enumerate(profile.strategies):
-        ph = float(spec.p.p[hi])
-        hbit = 1 << hi
-        for bi in range(len(strat.blocks)):
-            if rng.random() < ph:
-                for ki in block_idx[hi][bi]:
-                    masks[ki] |= hbit
-    return SuccessTuple(spec.commodities, tuple(masks))
+    return SuccessTuple(spec.commodities, tuple(_sample_masks(spec, profile, 1, rng)[0].tolist()))
 
 
 def _sample_products(
     spec: GameSpec, profile: StrategyProfile, hi: int, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized draws of prod_k F_k^h(S_k); one uniform matrix per supplier."""
-    block_idx = _block_commodity_indices(spec, profile)
-    nk = len(spec.commodities)
-    masks = [np.zeros(samples, dtype=np.int64) for _ in range(nk)]
-    for gi, strat in enumerate(profile.strategies):
-        nb = len(strat.blocks)
-        if nb == 0:
-            continue
-        ph = float(spec.p.p[gi])
-        arrived = rng.random((samples, nb)) < ph
-        gbit = np.int64(1 << gi)
-        for bi in range(nb):
-            col = arrived[:, bi]
-            for ki in block_idx[gi][bi]:
-                masks[ki] |= np.where(col, gbit, 0)
-    vals = np.ones(samples)
-    for ki in range(nk):
-        table = np.array([float(v) for v in spec.payoffs[ki][hi].values])
-        vals *= table[masks[ki]]
-    return vals
+    """Vectorized draws of prod_k F_k^h(S_k)."""
+    tables = [np.array(row[hi].values, dtype=float) for row in spec.payoffs]
+    return _table_product(tables, _sample_masks(spec, profile, samples, rng), np.ones(samples))
 
 
 def _report(vals: np.ndarray, samples: int, seed: int) -> EstimateReport:

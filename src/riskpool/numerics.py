@@ -70,6 +70,12 @@ def stable_sum(terms: Sequence[Value]) -> Value:
     return math.fsum(float(t) for t in terms)
 
 
+def clear_denominators(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """Exact values as integers over the lcm of their denominators, and that lcm."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
+
+
 def power(base: Value, expo: Value) -> Value:
     """base**expo with the convention 0**a := 0 for a > 0.
 

@@ -7,9 +7,11 @@ it arrived.  Player payoffs are expectations of products of nonnegative
 increasing functions of the success tuple, which is what makes the single
 all-in shipment (the coarse partition) a dominant strategy for everyone.
 
-All analysis here is exact enumeration over outcome atoms; anything beyond
-the stated caps is an error rather than a silent approximation.  Sampling
-belongs to the montecarlo module.
+A profile's payoffs come from one pass over all its block-arrival
+patterns, exact in rational mode and float64 otherwise; anything beyond the
+stated caps is an error rather than a silent approximation.  Sampling
+belongs to the montecarlo module, which maps sampled arrivals to success
+tuples with the same _success_masks.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .lattice import CoinVector, GroundSet, SetFunction, is_increasing
-from .numerics import Value, argmax_ties, geq, stable_sum
+from .numerics import Value, argmax_ties, clear_denominators, geq
 
 MAX_COMMODITIES = 8
 MAX_SUPPLIERS = 6
@@ -174,7 +178,7 @@ class GameSpec:
     and is validated, not trusted.
 
     The spec memoizes every player's expected payoff per profile, so each
-    distinct profile costs one sweep over its outcome atoms, whichever of
+    distinct profile costs one sweep over its arrival patterns, whichever of
     expected_payoff, best_replies, check_dominance or find_nash asks first.
     The memo lives and dies with the spec and holds one tuple per distinct
     profile asked for; the exhaustive sweeps refuse games of more than
@@ -322,90 +326,96 @@ def _validate_profile(spec: GameSpec, profile: StrategyProfile) -> None:
             raise ValueError(f"strategy of {h!r} does not partition its supply set")
 
 
-def _check_block_cap(profile: StrategyProfile) -> None:
-    total = sum(len(s.blocks) for s in profile.strategies)
-    if total > MAX_TOTAL_BLOCKS:
-        raise ValueError(f"exact enumeration is limited to {MAX_TOTAL_BLOCKS} shipment blocks")
+# Arrival patterns are swept in slices of this many rows, so one sweep's
+# memory stays bounded up to MAX_TOTAL_BLOCKS.
+_SLICE_ROWS = 1 << 16
 
 
-def _block_commodity_indices(spec: GameSpec, profile: StrategyProfile) -> list[list[list[int]]]:
-    return [
-        [[spec.k_index(k) for k in block] for block in strat.blocks]
-        for strat in profile.strategies
-    ]
-
-
-def _arrival_atoms(
+def _arrival_patterns(
     spec: GameSpec, profile: StrategyProfile, exact: bool
-) -> tuple[Iterator[tuple[tuple, list[int], Value]], int]:
-    """Joint arrival realizations of positive probability, and their scale.
+) -> tuple[Iterator[tuple[np.ndarray, np.ndarray]], int]:
+    """All 2**blocks block-arrival patterns with their weights, and the weights' scale.
 
-    Each supplier's block patterns are enumerated once, as (arrival bits,
-    per-commodity mask contribution, weight); a joint atom is one pattern
-    per supplier, yielded as (patterns, success masks, weight).  Exact mode
-    keeps weights as integers over the returned denominator, the product of
-    den**blocks per supplier, so sweeps run on machine integers.  Float mode
-    multiplies float coins block by block and the denominator is 1.
+    Blocks are numbered supplier by supplier, and pattern r has block j
+    arrived iff bit blocks-1-j of r is set: itertools.product order.  Slices
+    of at most _SLICE_ROWS patterns come as (boolean rows x blocks arrival
+    matrix, weights).  A weight is the product over each supplier's blocks of
+    p or 1 - p, then over suppliers; exact weights are integers over the
+    returned scale, the product of den**blocks per supplier, float weights
+    have scale 1.  Patterns of weight zero stay in.
     """
     _validate_profile(spec, profile)
-    _check_block_cap(profile)
-    block_idx = _block_commodity_indices(spec, profile)
-    nk = len(spec.commodities)
+    low = total = sum(len(s.blocks) for s in profile.strategies)
+    if total > MAX_TOTAL_BLOCKS:
+        raise ValueError(f"exact enumeration is limited to {MAX_TOTAL_BLOCKS} shipment blocks")
     denom = 1
-    patterns: list[list[tuple[tuple[bool, ...], tuple[int, ...], Value]]] = []
-    for hi, strat in enumerate(profile.strategies):
-        ph = spec.p.p[hi]
-        if exact:
-            win, den = ph.numerator, ph.denominator
-            lose = den - win
-            denom *= den ** len(strat.blocks)
-        else:
-            win = float(ph)
-            lose = 1 - win
-        hbit = 1 << hi
-        local = []
-        for bits in itertools.product((False, True), repeat=len(strat.blocks)):
-            w: Value = 1
-            contrib = [0] * nk
-            for arrived, kis in zip(bits, block_idx[hi]):
-                w = w * (win if arrived else lose)
-                if arrived:
-                    for ki in kis:
-                        contrib[ki] |= hbit
-            if w != 0:
-                local.append((bits, tuple(contrib), w))
-        patterns.append(local)
+    laws = []  # per supplier: its own patterns' weights and where its bits sit
+    for ph, strat in zip(spec.p.p, profile.strategies):
+        nb = len(strat.blocks)
+        win, den = (ph.numerator, ph.denominator) if exact else (float(ph), 1)
+        denom *= den ** nb
+        law = np.ones(1, dtype=object if exact else float)
+        for _ in range(nb):
+            law = np.multiply.outer(law, np.array([den - win, win], dtype=law.dtype)).ravel()
+        low -= nb
+        laws.append((law, low, (1 << nb) - 1))
+    shifts = np.arange(total - 1, -1, -1)
 
-    def atoms() -> Iterator[tuple[tuple, list[int], Value]]:
-        krange = range(nk)
-        for combo in itertools.product(*patterns):
-            w: Value = 1
-            masks = [0] * nk
-            for _, contrib, pw in combo:
-                w = w * pw
-                for ki in krange:
-                    masks[ki] |= contrib[ki]
-            yield combo, masks, w
+    def slices() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for start in range(0, 1 << total, _SLICE_ROWS):
+            r = np.arange(start, min(1 << total, start + _SLICE_ROWS))
+            weights = 1
+            for law, low, mask in laws:
+                weights = weights * law[(r >> low) & mask]
+            yield (r[:, None] >> shifts & 1).astype(bool), weights
 
-    return atoms(), denom
+    return slices(), denom
+
+
+def _success_masks(spec: GameSpec, profile: StrategyProfile, arrived: np.ndarray) -> np.ndarray:
+    """Success masks, (rows x commodities), of a boolean (rows x blocks)
+    arrival matrix whose columns are the profile's blocks, supplier by
+    supplier: entry [r, k] has the bit of every supplier whose block holding
+    k arrived in row r.  Masks stay below 2**MAX_SUPPLIERS, so uint8."""
+    bits = arrived.view(np.uint8)
+    masks = np.zeros((len(spec.commodities), len(bits)), dtype=np.uint8)
+    col = 0
+    for gi, strat in enumerate(profile.strategies):
+        for block in strat.blocks:
+            masks[[spec.k_index(k) for k in block]] |= bits[:, col] << gi
+            col += 1
+    return masks.T
+
+
+def _table_product(
+    tables: Sequence[np.ndarray], masks: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Per row, weights times the product over k of tables[k] at mask [r, k]."""
+    for ki, table in enumerate(tables):
+        weights = weights * table[masks[:, ki]]
+    return weights
 
 
 def _atom_law(
     spec: GameSpec, profile: StrategyProfile
-) -> Iterator[tuple[tuple, list[int], Value]]:
-    """Joint atoms with their probabilities, exact whenever the coins are."""
+) -> Iterator[tuple[list[bool], list[int], Value]]:
+    """(arrival bits, success masks, probability) of each pattern of
+    positive weight, in pattern order; exact whenever the coins are."""
     exact = spec.p.exact
-    atoms, denom = _arrival_atoms(spec, profile, exact)
-    return (
-        (combo, masks, Fraction(w, denom) if exact else w) for combo, masks, w in atoms
-    )
+    patterns, denom = _arrival_patterns(spec, profile, exact)
+    for arrived, weights in patterns:
+        masks = _success_masks(spec, profile, arrived)
+        for r in np.flatnonzero(weights):
+            prob = Fraction(weights[r], denom) if exact else float(weights[r])
+            yield arrived[r].tolist(), masks[r].tolist(), prob
 
 
 def outcome_atoms(spec: GameSpec, profile: StrategyProfile) -> list[OutcomeAtom]:
     """All joint arrival realizations of positive probability."""
+    ends = list(itertools.accumulate(len(s.blocks) for s in profile.strategies))
     return [
-        OutcomeAtom(tuple(bits for bits, _, _ in combo), prob)
-        for combo, _, prob in _atom_law(spec, profile)
+        OutcomeAtom(tuple(tuple(bits[a:b]) for a, b in zip([0] + ends, ends)), prob)
+        for bits, _, prob in _atom_law(spec, profile)
     ]
 
 
@@ -427,51 +437,37 @@ def _spec_exact(spec: GameSpec) -> bool:
     return spec.p.exact and all(f.exact for row in spec.payoffs for f in row)
 
 
-def _int_table(values: Sequence[Value]) -> tuple[list[int], int]:
-    # Clear denominators so the atom sweep runs on machine integers.
-    den = 1
-    for v in values:
-        if isinstance(v, Fraction):
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    return [int(v * den) for v in values], den
-
-
 def _payoffs_for(spec: GameSpec, profile: StrategyProfile) -> tuple[Value, ...]:
-    """Expected payoff of every supplier in one pass over the atoms.
+    """Expected payoff of every supplier in one pass over the arrival patterns.
 
-    Exact mode sums integer terms and divides once by the atom and table
-    scales; float mode sums its terms with fsum.
+    Exact mode multiplies integer weights by denominator-cleared tables and
+    divides once by the pattern and table scales; float mode sums each
+    slice with fsum and then the slice sums.
     """
     exact = _spec_exact(spec)
-    atoms, denom = _arrival_atoms(spec, profile, exact)
+    patterns, denom = _arrival_patterns(spec, profile, exact)
     players = len(spec.suppliers)
     # One table set per distinct payoff: a symmetric game shares the first.
     owners = range(1 if spec.symmetric else players)
-    tables: list[list[Sequence[Value]]] = []
+    tables: list[list[np.ndarray]] = []
     scales: list[int] = []
     for hi in owners:
         if exact:
-            cleared = [_int_table(row[hi].values) for row in spec.payoffs]
-            tables.append([tab for tab, _ in cleared])
-            scales.append(denom * math.prod(den for _, den in cleared))
+            cleared = [clear_denominators(tab) for tab in _payoff_tables(spec, hi)]
+            tables.append([np.array(ints, dtype=object) for ints, _ in cleared])
+            scales.append(denom * math.prod(lcm for _, lcm in cleared))
         else:
-            tables.append(_payoff_tables(spec, hi))
-    krange = range(len(spec.commodities))
-    totals = [0] * len(tables)
-    terms: list[list[Value]] = [[] for _ in tables]
-    for _, masks, w in atoms:
-        for t, tabs in enumerate(tables):
-            val = w
-            for ki in krange:
-                val = val * tabs[ki][masks[ki]]
-            if exact:
-                totals[t] += val
-            else:
-                terms[t].append(val)
+            tables.append([np.array(tab, dtype=float) for tab in _payoff_tables(spec, hi)])
+    sums: list[list[Value]] = [[] for _ in tables]
+    for arrived, weights in patterns:
+        masks = _success_masks(spec, profile, arrived)
+        for part, tabs in zip(sums, tables):
+            terms = _table_product(tabs, masks, weights)
+            part.append(terms.sum() if exact else math.fsum(terms.tolist()))
     if exact:
-        values = [Fraction(total, scale) for total, scale in zip(totals, scales)]
+        values = [Fraction(sum(part), scale) for part, scale in zip(sums, scales)]
     else:
-        values = [stable_sum(ts) for ts in terms]
+        values = [math.fsum(part) for part in sums]
     return tuple(values * players if spec.symmetric else values)
 
 

@@ -276,6 +276,36 @@ def test_verify_reports_a_failing_sweep(monkeypatch, capsys):
 # -- error handling ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--max-ground", "0"], "--max-ground"),
+        (["verify", "--max-ground", "-2"], "--max-ground"),
+        (["verify", "--samples", "1"], "--samples"),
+        (["game", "simulate", "--config", "GAME", "--samples", "1"], "--samples"),
+    ],
+)
+def test_meaningless_sizes_are_usage_errors(tmp_path, capsys, argv, flag):
+    # refused while parsing, before any sweep or estimate runs
+    cfg = _write(tmp_path, "game.json", GAME_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main([cfg if a == "GAME" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be at least" in captured.err
+    assert captured.out == ""
+
+
+def test_config_commands_accept_max_ground_zero(tmp_path, capsys):
+    # a limit of 0 is a valid limit there: it refuses the config, not the flag
+    cfg = _write(tmp_path, "conv.json", CONV_CONFIG)
+    code, _, err = _run(capsys, ["convolve", "--config", cfg, "--max-ground", "0"])
+    assert code == 2 and "above the --max-ground limit 0" in err
+    cfg = _write(tmp_path, "game.json", GAME_CONFIG)
+    code, _, err = _run(capsys, ["game", "analyze", "--config", cfg, "--max-ground", "0"])
+    assert code == 2 and "above the --max-ground limit 0" in err
+
+
 def test_float_literal_rejected_in_exact_mode(tmp_path, capsys):
     bad = dict(CONV_CONFIG, p={"a": 0.5, "b": "1/4"})
     cfg = _write(tmp_path, "bad.json", bad)

@@ -158,3 +158,34 @@ def test_sample_success_frequencies_are_sane():
     # expect about 3000; a binomial 6-sigma band keeps this deterministic test safe
     sigma = (trials * 0.75 * 0.25) ** 0.5
     assert abs(hits - trials * 0.75) < 6 * sigma
+
+
+def test_seeded_streams_are_pinned():
+    # Literal draws of the sampler: a rewrite that changes the order in which
+    # coins are drawn, or the rule that turns arrivals into masks, breaks them.
+    g = GroundSet(["h1", "h2", "h3"])
+    shared_oil = SetFunction(g, (0, 1, 1, 2, 1, 2, 2, 3))
+    spec = GameSpec.build(
+        commodities=["oil", "gas", "coal"],
+        suppliers=["h1", "h2", "h3"],
+        supply={"h1": ["oil", "gas", "coal"], "h2": ["oil", "coal"], "h3": []},
+        p=CoinVector(g, (F(1, 2), F(3, 4), F(1, 3))),
+        payoffs={
+            "oil": {"h1": shared_oil, "h2": SetFunction(g, (1, 1, 2, 2, 1, 1, 2, 2)),
+                    "h3": shared_oil},
+            "gas": SetFunction(g, (1, 2, 1, 2, 1, 2, 1, 2)),
+            "coal": SetFunction(g, (F(1, 2), 1, 2, 3, F(1, 2), 1, 2, 3)),
+        },
+    )
+    profile = spec.profile({"h1": [["oil", "coal"], ["gas"]], "h2": [["oil"], ["coal"]], "h3": []})
+    pinned = {
+        "h1": (4.2661, 0.05283925203209317),
+        "h2": (5.4834, 0.048522734662793186),
+        "h3": (4.2661, 0.05283925203209317),
+    }
+    for h, (mean, stderr) in pinned.items():
+        est = estimate_payoff(spec, profile, h, 5000, 11)
+        assert (est.mean, est.stderr) == (mean, stderr)
+    rng = generator(12)
+    draws = [sample_success(spec, profile, rng).masks for _ in range(6)]
+    assert draws == [(3, 0, 3), (3, 1, 3), (2, 0, 2), (3, 1, 3), (3, 0, 3), (0, 0, 0)]

@@ -10,10 +10,11 @@ import pytest
 import oracles
 from riskpool import partition_game
 from riskpool.generators import random_game_spec, random_profile
-from riskpool.lattice import CoinVector, GroundSet, SetFunction
+from riskpool.lattice import CoinVector, GroundSet, SetFunction, expectation
 from riskpool.numerics import close
 from riskpool.partition_game import (
     BELL,
+    MAX_TOTAL_BLOCKS,
     GameSpec,
     PartitionStrategy,
     StrategyProfile,
@@ -363,13 +364,13 @@ def _all_profiles(spec):
 @pytest.mark.parametrize("exact", [True, False])
 def test_each_profile_is_swept_once(monkeypatch, exact):
     sweeps = []
-    arrival_atoms = partition_game._arrival_atoms
+    arrival_patterns = partition_game._arrival_patterns
 
     def counted(spec, profile, exact):
         sweeps.append(profile)
-        return arrival_atoms(spec, profile, exact)
+        return arrival_patterns(spec, profile, exact)
 
-    monkeypatch.setattr(partition_game, "_arrival_atoms", counted)
+    monkeypatch.setattr(partition_game, "_arrival_patterns", counted)
     spec = _three_supplier_spec(exact)
     assert spec.symmetric is not exact
     profiles = _all_profiles(spec)
@@ -405,6 +406,54 @@ def test_payoff_memo_stays_with_its_spec():
                 spec, profile, h
             )
     assert scaled != spec
+
+
+def _eight_commodity_spec(exact, owned):
+    """Three suppliers owning the first owned[i] of eight commodities, with
+    per-player payoff factors that are 1 plus nonnegative weights."""
+    g = GroundSet(["h1", "h2", "h3"])
+    ks = [f"k{c}" for c in range(8)]
+
+    def family(c, t):
+        weights = [F(1 + (c + t + i) % 3, 2 + t) for i in range(3)]
+        values = [1 + sum(w for i, w in enumerate(weights) if m >> i & 1) for m in range(8)]
+        return SetFunction(g, tuple(v if exact else float(v) for v in values))
+
+    coins = (F(1, 3), F(3, 4), F(2, 5))
+    p = CoinVector(g, coins if exact else tuple(map(float, coins)))
+    payoffs = {k: {h: family(c, t) for t, h in enumerate(g.labels)} for c, k in enumerate(ks)}
+    return GameSpec.build(ks, g.labels, dict(zip(g.labels, (ks[:n] for n in owned))), p, payoffs)
+
+
+@pytest.mark.parametrize("exact, owned", [(False, (8, 8, 6)), (True, (6, 6, 4))])
+def test_finest_profile_payoff_factorizes_up_to_the_block_cap(exact, owned):
+    # Under the finest profile every commodity ships alone, so the success
+    # sets of different commodities are independent and the payoff is the
+    # product over k of E[F_k], with coin 0 for a supplier that does not own k.
+    spec = _eight_commodity_spec(exact, owned)
+    profile = spec.finest_profile()
+    assert sum(len(s.blocks) for s in profile.strategies) == sum(owned)
+    assert exact or sum(owned) == MAX_TOTAL_BLOCKS
+    for h in spec.suppliers:
+        want = 1
+        for k in spec.commodities:
+            coins = tuple(x if k in own else 0 for x, own in zip(spec.p.p, spec.supply))
+            want *= expectation(spec.payoff_fn(k, h), CoinVector(spec.p.ground, coins))
+        value = expected_payoff(spec, profile, h)
+        if exact:
+            assert isinstance(value, Fraction) and value == want
+        else:
+            assert isinstance(value, float) and close(value, want)
+
+
+def test_profile_over_the_block_cap_is_refused():
+    spec = _eight_commodity_spec(False, (8, 8, 7))
+    profile = spec.finest_profile()
+    assert sum(len(s.blocks) for s in profile.strategies) == MAX_TOTAL_BLOCKS + 1
+    with pytest.raises(ValueError, match="shipment blocks"):
+        expected_payoff(spec, profile, "h1")
+    with pytest.raises(ValueError, match="shipment blocks"):
+        outcome_atoms(spec, profile)
 
 
 # -- conditional two-block comparison ---------------------------------------------
