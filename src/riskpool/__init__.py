@@ -7,25 +7,20 @@ analysis, and seeded Monte Carlo cross-validation.
 """
 
 from .convolution import (
-    IndexPartition,
     convolve,
     convolve_bruteforce,
     harris_gap,
     partition_expectation,
-    refines,
 )
 from .lattice import (
     CoinVector,
     GroundSet,
     MonotoneFamily,
-    PairDistribution,
     SetFunction,
     all_monotone_indicators,
     expectation,
     is_decreasing,
     is_increasing,
-    pair_measure,
-    product_measure,
     random_increasing,
     submasks,
     up_closure,
@@ -35,18 +30,13 @@ from .montecarlo import (
     estimate_convolution,
     estimate_payoff,
     generator,
-    sample_success,
-    substreams,
 )
 from .partition_game import (
-    BELL,
     DominanceCertificate,
     DominanceViolation,
     GameSpec,
-    OutcomeAtom,
     PartitionStrategy,
     StrategyProfile,
-    SuccessTuple,
     best_replies,
     check_dominance,
     coarse_strategy,
@@ -54,26 +44,20 @@ from .partition_game import (
     conditional_block_factors,
     conditional_payoffs,
     enumerate_partitions,
-    expected_output,
     expected_payoff,
     find_nash,
     finest_strategy,
-    outcome_atoms,
     scaled_spec,
-    success_distribution,
 )
 from .scenarios import (
     MergerScenario,
     MilitaryScenario,
     TwoInputProduction,
     WeightedVotingSpec,
-    merger_probability,
     merger_table,
-    military_outcomes,
     military_tables,
     optimal_strategies,
     production_factors,
-    production_payoff,
     production_table,
     weighted_voting,
 )
@@ -81,23 +65,18 @@ from .scenarios import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BELL",
     "CoinVector",
     "DominanceCertificate",
     "DominanceViolation",
     "EstimateReport",
     "GameSpec",
     "GroundSet",
-    "IndexPartition",
     "MergerScenario",
     "MilitaryScenario",
     "MonotoneFamily",
-    "OutcomeAtom",
-    "PairDistribution",
     "PartitionStrategy",
     "SetFunction",
     "StrategyProfile",
-    "SuccessTuple",
     "TwoInputProduction",
     "WeightedVotingSpec",
     "all_monotone_indicators",
@@ -113,7 +92,6 @@ __all__ = [
     "estimate_convolution",
     "estimate_payoff",
     "expectation",
-    "expected_output",
     "expected_payoff",
     "find_nash",
     "finest_strategy",
@@ -121,25 +99,15 @@ __all__ = [
     "harris_gap",
     "is_decreasing",
     "is_increasing",
-    "merger_probability",
     "merger_table",
-    "military_outcomes",
     "military_tables",
     "optimal_strategies",
-    "outcome_atoms",
-    "pair_measure",
     "partition_expectation",
-    "product_measure",
     "production_factors",
-    "production_payoff",
     "production_table",
     "random_increasing",
-    "refines",
-    "sample_success",
     "scaled_spec",
     "submasks",
-    "substreams",
-    "success_distribution",
     "up_closure",
     "weighted_voting",
 ]

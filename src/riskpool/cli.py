@@ -868,7 +868,7 @@ def _cmd_verify(args) -> int:
 
 
 def _at_least(low: int) -> Callable[[str], int]:
-    """argparse type for a size flag: an integer no smaller than low."""
+    """argparse type for a size or seed flag: an integer no smaller than low."""
 
     def count(raw: str) -> int:
         if int(raw) < low:
@@ -882,7 +882,7 @@ def _add_common(sub: argparse.ArgumentParser, config: bool = True) -> None:
         sub.add_argument("--config", required=True, help="path to the JSON config")
         sub.add_argument("--mode", choices=("exact", "float"), help="override the config's numeric mode")
     sub.add_argument("--out", help="directory for report.json (and CSV tables with --csv)")
-    sub.add_argument("--max-ground", type=int, default=None, help="reject ground sets larger than N")
+    sub.add_argument("--max-ground", type=_at_least(0), default=None, help="reject ground sets larger than N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -912,13 +912,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = game_sub.add_parser("simulate", help="Monte Carlo estimates against exact payoffs")
     _add_common(p_sim)
     p_sim.add_argument("--samples", type=_at_least(2), default=100000, help="sample count per player")
-    p_sim.add_argument("--seed", type=int, default=0, help="base seed")
+    p_sim.add_argument("--seed", type=_at_least(0), default=0, help="base seed")
     p_sim.set_defaults(func=_cmd_game_simulate)
 
     p_ver = sub.add_parser("verify", help="run the property suite at configured sizes")
     p_ver.add_argument("--out", help="directory for report.json")
     p_ver.add_argument("--max-ground", type=_at_least(1), default=5, help="largest ground set in sweeps")
-    p_ver.add_argument("--seed", type=int, default=0, help="base seed for the sweeps")
+    p_ver.add_argument("--seed", type=_at_least(0), default=0, help="base seed for the sweeps")
     p_ver.add_argument("--samples", type=_at_least(2), default=20000, help="Monte Carlo samples per check")
     p_ver.set_defaults(func=_cmd_verify)
 

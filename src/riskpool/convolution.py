@@ -25,9 +25,8 @@ route, never to be replaced by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -178,65 +177,29 @@ def harris_gap(f: SetFunction, g: SetFunction, p: CoinVector) -> Value:
     return expectation(f * g, p) - expectation(f, p) * expectation(g, p)
 
 
-@dataclass(frozen=True)
-class IndexPartition:
-    """Partition of the index set {0, ..., m-1} into disjoint blocks."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __init__(self, blocks: Iterable[Iterable[int]]):
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[:1]))
-        object.__setattr__(self, "blocks", canon)
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            for i in block:
-                if not isinstance(i, int) or i < 0:
-                    raise ValueError(f"invalid index {i!r}")
-                if i in seen:
-                    raise ValueError(f"index {i} appears in two blocks")
-                seen.add(i)
-
-    @property
-    def indices(self) -> frozenset[int]:
-        return frozenset(i for b in self.blocks for i in b)
-
-    @classmethod
-    def singletons(cls, count: int) -> "IndexPartition":
-        return cls([i] for i in range(count))
-
-    @classmethod
-    def single_block(cls, count: int) -> "IndexPartition":
-        if count == 0:
-            return cls(())
-        return cls([range(count)])
-
-
-def refines(fine: IndexPartition, coarse: IndexPartition) -> bool:
-    """True when every block of `fine` sits inside one block of `coarse`."""
-    if fine.indices != coarse.indices:
-        raise ValueError("partitions cover different index sets")
-    coarse_sets = [set(b) for b in coarse.blocks]
-    return all(any(set(fb) <= cb for cb in coarse_sets) for fb in fine.blocks)
-
-
 def partition_expectation(
-    functions: Sequence[SetFunction], partition: IndexPartition, p: CoinVector
+    functions: Sequence[SetFunction], blocks: Sequence[Sequence[int]], p: CoinVector
 ) -> Value:
     """Product over blocks B of E[prod of functions[i] for i in B].
 
-    For nonnegative increasing families this quantity grows as the
-    partition gets coarser, with the single block at the top and the
-    all-singleton partition at the bottom.
+    The coarsening inequality: for nonnegative increasing functions this
+    never decreases when two blocks merge, so the single block, E[prod f_i],
+    is the largest value and the singletons, prod E[f_i], the smallest.
+    Raises ValueError on an empty block, an index in two blocks, or blocks
+    that do not cover range(len(functions)).
     """
-    if partition.indices != frozenset(range(len(functions))):
-        raise ValueError("partition does not cover the function indices")
+    indices = [i for block in blocks for i in block]
+    if not all(blocks):
+        raise ValueError("empty block")
+    if len(set(indices)) != len(indices):
+        raise ValueError("an index appears in two blocks")
+    if set(indices) != set(range(len(functions))):
+        raise ValueError("blocks do not cover the function indices")
     for f in functions:
         if f.ground != p.ground:
             raise ValueError("operands live on different ground sets")
     out: Value = 1
-    for block in partition.blocks:
+    for block in blocks:
         prod = functions[block[0]]
         for i in block[1:]:
             prod = prod * functions[i]

@@ -3,9 +3,8 @@
 Subsets of a finite ground set are plain int bitmasks: element i of the
 ground set's label tuple corresponds to bit i.  Functions on the power set
 are dense tables of length 2**n indexed by mask.  On top of that sit the
-two probability measures everything else is built from: the product measure
-driven by one coin per element, and the coupled pair measure in which a
-chosen subset of elements shares its coin between both coordinates.
+product measure driven by one coin per element, monotonicity checks,
+up-closed families, and generators of increasing functions.
 """
 
 from __future__ import annotations
@@ -14,14 +13,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .numerics import ABS_TOL, REL_TOL, Value, all_exact, geq, is_exact, stable_sum
+from .numerics import ABS_TOL, REL_TOL, Value, all_exact, stable_sum
 
 MAX_GROUND = 20
-MAX_PAIR_GROUND = 10
 
 
 @dataclass(frozen=True)
@@ -249,10 +247,6 @@ class MonotoneFamily:
     def indicator(self) -> SetFunction:
         return SetFunction(self.ground, (int(b) for b in self.member))
 
-    @classmethod
-    def from_seeds(cls, ground: GroundSet, seeds: Iterable[int]) -> "MonotoneFamily":
-        return up_closure(ground, seeds)
-
 
 def up_closure(ground: GroundSet, seeds: Iterable[int]) -> MonotoneFamily:
     """Smallest up-closed family containing the given seed subsets."""
@@ -265,17 +259,8 @@ def up_closure(ground: GroundSet, seeds: Iterable[int]) -> MonotoneFamily:
     return MonotoneFamily(ground, member)
 
 
-def product_measure(p: CoinVector, mask: int) -> Value:
-    """Probability that independent coins realize exactly the given subset."""
-    p.ground.check_mask(mask)
-    w: Value = 1
-    for i, ph in enumerate(p.p):
-        w = w * (ph if mask >> i & 1 else 1 - ph)
-    return w
-
-
 def product_measure_table(p: CoinVector) -> list[Value]:
-    """Dense table of product_measure over all masks, built by doubling."""
+    """Probability of every mask under independent coins, built by doubling."""
     tab: list[Value] = [1]
     for ph in p.p:
         q = 1 - ph
@@ -289,51 +274,6 @@ def expectation(f: SetFunction, p: CoinVector) -> Value:
         raise ValueError("function and coins live on different ground sets")
     tab = product_measure_table(p)
     return stable_sum([v * w for v, w in zip(f.values, tab)])
-
-
-@dataclass(frozen=True, eq=False)
-class PairDistribution:
-    """Joint law of a coupled pair of random subsets.
-
-    Elements of `coupled` share one coin between the two coordinates;
-    all other elements toss two independent coins.  Only subset pairs of
-    positive probability are stored.
-    """
-
-    ground: GroundSet
-    coupled: int
-    weights: Mapping[tuple[int, int], Value]
-
-    def __init__(self, ground: GroundSet, coupled: int, weights: Mapping[tuple[int, int], Value]):
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "coupled", ground.check_mask(coupled))
-        object.__setattr__(self, "weights", dict(weights))
-        total = stable_sum(list(self.weights.values()))
-        if not math.isclose(float(total), 1.0, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError("pair weights must sum to 1")
-        for (s1, s2), w in self.weights.items():
-            if s1 & self.coupled != s2 & self.coupled:
-                raise ValueError("support violates the shared-coin constraint")
-            if not geq(w, 0):
-                raise ValueError("negative pair weight")
-
-    def weight(self, s1: int, s2: int) -> Value:
-        self.ground.check_mask(s1)
-        self.ground.check_mask(s2)
-        return self.weights.get((s1, s2), 0)
-
-    def items(self) -> Iterator[tuple[int, int, Value]]:
-        for (s1, s2), w in self.weights.items():
-            yield s1, s2, w
-
-    def marginal(self, which: int) -> dict[int, Value]:
-        if which not in (0, 1):
-            raise ValueError("which must be 0 or 1")
-        out: dict[int, Value] = {}
-        for pair, w in self.weights.items():
-            key = pair[which]
-            out[key] = out.get(key, 0) + w
-        return out
 
 
 def _subset_weights(p: CoinVector, mask: int) -> dict[int, Value]:
@@ -352,25 +292,6 @@ def _subset_weights(p: CoinVector, mask: int) -> dict[int, Value]:
                 nxt[m | bit] = w * ph
         weights = nxt
     return weights
-
-
-def pair_measure(p: CoinVector, coupled: int) -> PairDistribution:
-    """Explicit coupled-pair law: one shared coin inside `coupled`, two
-    independent coins outside it."""
-    ground = p.ground
-    ground.check_mask(coupled)
-    if ground.n > MAX_PAIR_GROUND:
-        raise ValueError(f"explicit pair tables are limited to {MAX_PAIR_GROUND} elements")
-    comp = ground.full ^ coupled
-    shared = _subset_weights(p, coupled)
-    free = _subset_weights(p, comp)
-    weights: dict[tuple[int, int], Value] = {}
-    for t, wt in shared.items():
-        for r1, w1 in free.items():
-            wt1 = wt * w1
-            for r2, w2 in free.items():
-                weights[(t | r1, t | r2)] = wt1 * w2
-    return PairDistribution(ground, coupled, weights)
 
 
 def from_moebius_weights(ground: GroundSet, weights: Mapping[int, Value]) -> SetFunction:

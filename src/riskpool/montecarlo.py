@@ -1,9 +1,8 @@
 """Seeded sampling estimates cross-validating the exact computations.
 
 The repository-wide generator is numpy's PCG64, always constructed through
-numpy.random.SeedSequence, so a 64-bit seed determines every draw.  Worker
-substreams come from SeedSequence.spawn, which keeps parallel splits
-replayable: the same seed and sample count give bit-identical reports.
+numpy.random.SeedSequence, so a 64-bit seed determines every draw: the
+same seed and sample count give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from .lattice import CoinVector, SetFunction
 from .partition_game import (
     GameSpec,
     StrategyProfile,
-    SuccessTuple,
     _success_masks,
     _table_product,
     _validate_profile,
@@ -40,12 +38,6 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def substreams(seed: int, count: int) -> list[np.random.Generator]:
-    """Independent child generators for parallel workers, replayable."""
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]
-
-
 def _sample_masks(
     spec: GameSpec, profile: StrategyProfile, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -57,14 +49,6 @@ def _sample_masks(
         for ph, strat in zip(spec.p.p, profile.strategies)
     ])
     return _success_masks(spec, profile, arrived)
-
-
-def sample_success(
-    spec: GameSpec, profile: StrategyProfile, rng: np.random.Generator
-) -> SuccessTuple:
-    """One draw of the success tuple: a Bernoulli(p_h) coin per shipment."""
-    _validate_profile(spec, profile)
-    return SuccessTuple(spec.commodities, tuple(_sample_masks(spec, profile, 1, rng)[0].tolist()))
 
 
 def _sample_products(

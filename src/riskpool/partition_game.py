@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import CoinVector, GroundSet, SetFunction, is_increasing
+from .lattice import CoinVector, SetFunction, is_increasing
 from .numerics import Value, argmax_ties, clear_denominators, geq
 
 MAX_COMMODITIES = 8
@@ -32,9 +32,6 @@ MAX_SUPPLIERS = 6
 MAX_PARTITION_SET = 8
 MAX_TOTAL_BLOCKS = 22
 MAX_PROFILES = 10 ** 6
-
-# Bell numbers B(0)..B(8): how many partitions a commodity set can have.
-BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
 
 
 @dataclass(frozen=True)
@@ -59,12 +56,6 @@ class PartitionStrategy:
     @property
     def commodity_set(self) -> frozenset[str]:
         return frozenset(k for b in self.blocks for k in b)
-
-    def block_of(self, commodity: str) -> int:
-        for idx, block in enumerate(self.blocks):
-            if commodity in block:
-                return idx
-        raise KeyError(f"{commodity!r} not covered by this strategy")
 
 
 def _canonical_blocks(
@@ -150,32 +141,13 @@ class StrategyProfile:
 
 
 @dataclass(frozen=True)
-class SuccessTuple:
-    """Per commodity, the mask of suppliers whose shipment of it arrived."""
-
-    commodities: tuple[str, ...]
-    masks: tuple[int, ...]
-
-    def mask_of(self, commodity: str) -> int:
-        return self.masks[self.commodities.index(commodity)]
-
-
-@dataclass(frozen=True)
-class OutcomeAtom:
-    """One joint realization of every shipment's arrival bit."""
-
-    arrivals: tuple[tuple[bool, ...], ...]
-    probability: Value
-
-
-@dataclass(frozen=True)
 class GameSpec:
     """Commodities, suppliers, supply sets, coins, and payoff families.
 
     payoffs[k][h] is the nonnegative increasing function F applied to the
     supplier set that delivered commodity k, entering player h's product
-    payoff.  The symmetric flag records that payoffs do not depend on h,
-    and is validated, not trusted.
+    payoff.  `symmetric`, computed from the payoffs, is true when they do
+    not depend on h.
 
     The spec memoizes every player's expected payoff per profile, so each
     distinct profile costs one sweep over its arrival patterns, whichever of
@@ -192,7 +164,7 @@ class GameSpec:
     supply: tuple[tuple[str, ...], ...]
     p: CoinVector
     payoffs: tuple[tuple[SetFunction, ...], ...]
-    symmetric: bool
+    symmetric: bool = field(init=False)
     _payoff_memo: dict[StrategyProfile, tuple[Value, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -228,9 +200,8 @@ class GameSpec:
                     raise ValueError(f"payoff for {k!r} takes negative values")
                 if not is_increasing(f):
                     raise ValueError(f"payoff for {k!r} is not increasing")
-        actually_symmetric = all(row.count(row[0]) == len(row) for row in self.payoffs)
-        if self.symmetric != actually_symmetric:
-            raise ValueError("symmetric flag does not match the payoff families")
+        symmetric = all(row.count(row[0]) == len(row) for row in self.payoffs)
+        object.__setattr__(self, "symmetric", symmetric)
 
     @classmethod
     def build(
@@ -241,7 +212,7 @@ class GameSpec:
         p: CoinVector,
         payoffs: Mapping[str, SetFunction | Mapping[str, SetFunction]],
         ) -> "GameSpec":
-        """Assemble a spec from mappings; the symmetric flag is inferred.
+        """Assemble a spec from mappings.
 
         Payoffs accept either one function per commodity (shared by every
         supplier) or a full per-supplier mapping.
@@ -267,9 +238,7 @@ class GameSpec:
                 if set(entry) != set(suppliers):
                     raise ValueError(f"payoffs for {k!r} must be keyed by the suppliers")
                 rows.append(tuple(entry[h] for h in suppliers))
-        payoff_rows = tuple(rows)
-        symmetric = all(row.count(row[0]) == len(row) for row in payoff_rows)
-        return cls(commodities, suppliers, supply_rows, p, payoff_rows, symmetric)
+        return cls(commodities, suppliers, supply_rows, p, tuple(rows))
 
     def h_index(self, h: str) -> int:
         try:
@@ -396,39 +365,6 @@ def _table_product(
     return weights
 
 
-def _atom_law(
-    spec: GameSpec, profile: StrategyProfile
-) -> Iterator[tuple[list[bool], list[int], Value]]:
-    """(arrival bits, success masks, probability) of each pattern of
-    positive weight, in pattern order; exact whenever the coins are."""
-    exact = spec.p.exact
-    patterns, denom = _arrival_patterns(spec, profile, exact)
-    for arrived, weights in patterns:
-        masks = _success_masks(spec, profile, arrived)
-        for r in np.flatnonzero(weights):
-            prob = Fraction(weights[r], denom) if exact else float(weights[r])
-            yield arrived[r].tolist(), masks[r].tolist(), prob
-
-
-def outcome_atoms(spec: GameSpec, profile: StrategyProfile) -> list[OutcomeAtom]:
-    """All joint arrival realizations of positive probability."""
-    ends = list(itertools.accumulate(len(s.blocks) for s in profile.strategies))
-    return [
-        OutcomeAtom(tuple(tuple(bits[a:b]) for a, b in zip([0] + ends, ends)), prob)
-        for bits, _, prob in _atom_law(spec, profile)
-    ]
-
-
-def success_distribution(
-    spec: GameSpec, profile: StrategyProfile
-) -> list[tuple[SuccessTuple, Value]]:
-    """Exact law of the success tuple induced by the profile."""
-    return [
-        (SuccessTuple(spec.commodities, tuple(masks)), prob)
-        for _, masks, prob in _atom_law(spec, profile)
-    ]
-
-
 def _payoff_tables(spec: GameSpec, hi: int) -> list[tuple[Value, ...]]:
     return [row[hi].values for row in spec.payoffs]
 
@@ -488,18 +424,6 @@ def expected_payoff(spec: GameSpec, profile: StrategyProfile, h: str) -> Value:
     """
     hi = spec.h_index(h)
     return _profile_payoffs(spec, profile)[hi]
-
-
-def expected_output(spec: GameSpec, profile: StrategyProfile) -> Value:
-    """The principal's objective in the symmetric game.
-
-    With payoffs independent of the observer, maximizing total expected
-    output and maximizing any single player's expected payoff are the same
-    problem, so this simply evaluates the common payoff.
-    """
-    if not spec.symmetric:
-        raise ValueError("expected_output requires the symmetric flag")
-    return expected_payoff(spec, profile, spec.suppliers[0])
 
 
 def conditional_block_factors(
@@ -722,8 +646,6 @@ def scaled_spec(spec: GameSpec, kappa: Mapping[str, Value]) -> GameSpec:
     first_row = tuple(
         f * kappa[h] for h, f in zip(spec.suppliers, spec.payoffs[0])
     )
-    payoff_rows = (first_row,) + spec.payoffs[1:]
-    symmetric = all(row.count(row[0]) == len(row) for row in payoff_rows)
     return GameSpec(
-        spec.commodities, spec.suppliers, spec.supply, spec.p, payoff_rows, symmetric
+        spec.commodities, spec.suppliers, spec.supply, spec.p, (first_row,) + spec.payoffs[1:]
     )

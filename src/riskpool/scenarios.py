@@ -10,7 +10,6 @@ from increasing functions, the full pool S = H is always among the optima.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .convolution import convolve
 from .lattice import (
@@ -88,10 +87,6 @@ def production_table(sc: TwoInputProduction) -> SetFunction:
     return convolve(f1, f2, sc.p)
 
 
-def production_payoff(sc: TwoInputProduction, pool: int) -> Value:
-    return production_table(sc)(pool)
-
-
 @dataclass(frozen=True)
 class MilitaryScenario:
     """Two strike plans succeed when the surviving sites hit a critical family.
@@ -129,11 +124,6 @@ def military_tables(sc: MilitaryScenario) -> tuple[SetFunction, SetFunction, Set
     return both, neither, one
 
 
-def military_outcomes(sc: MilitaryScenario, pool: int) -> tuple[Value, Value, Value]:
-    both, neither, one = military_tables(sc)
-    return both(pool), neither(pool), one(pool)
-
-
 @dataclass(frozen=True)
 class MergerScenario:
     """Two boards vote on a merger; approval needs a yes from both.
@@ -169,10 +159,6 @@ def _check_voting_rule(f: SetFunction) -> None:
 def merger_table(sc: MergerScenario) -> SetFunction:
     """Probability that both boards approve, for every pooled block S."""
     return convolve(sc.f_a, sc.f_b, sc.p)
-
-
-def merger_probability(sc: MergerScenario, pool: int) -> Value:
-    return merger_table(sc)(pool)
 
 
 @dataclass(frozen=True)

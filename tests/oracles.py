@@ -51,35 +51,19 @@ def mean(table, probs):
 
 
 def coupled_mean(ftab, gtab, probs, shared):
-    """E[f(S1) g(S2)] by tossing the coins one at a time.
-
-    Elements of `shared` get a single coin deciding membership in both S1
-    and S2; every other element gets two independent coins.  This is the
-    definition of the coupled product, spelled out with three nested
-    subset loops.
-    """
-    labels = set(probs)
-    shared = frozenset(shared)
-    free = labels - shared
-    total = 0
-    for both in powerset(shared):
-        w_both = 1
-        for h in shared:
-            w_both = w_both * (probs[h] if h in both else 1 - probs[h])
-        for only1 in powerset(free):
-            w1 = 1
-            for h in free:
-                w1 = w1 * (probs[h] if h in only1 else 1 - probs[h])
-            for only2 in powerset(free):
-                w2 = 1
-                for h in free:
-                    w2 = w2 * (probs[h] if h in only2 else 1 - probs[h])
-                total += w_both * w1 * w2 * ftab[both | only1] * gtab[both | only2]
-    return total
+    """E[f(S1) g(S2)] summed over the coupled pair law of `pair_weights`."""
+    return sum(w * ftab[s1] * gtab[s2] for (s1, s2), w in pair_weights(probs, shared).items())
 
 
 def pair_weights(probs, shared):
-    """Joint law of (S1, S2) under the coupled tosses, zero entries dropped."""
+    """Joint law of (S1, S2), tossing the coins one at a time, zero entries
+    dropped.
+
+    Elements of `shared` get a single coin deciding membership in both S1
+    and S2; every other element gets two independent coins.  This is the
+    definition of the coupled product's measure, spelled out with three
+    nested subset loops.
+    """
     labels = set(probs)
     shared = frozenset(shared)
     free = labels - shared

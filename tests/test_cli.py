@@ -283,6 +283,12 @@ def test_verify_reports_a_failing_sweep(monkeypatch, capsys):
         (["verify", "--max-ground", "-2"], "--max-ground"),
         (["verify", "--samples", "1"], "--samples"),
         (["game", "simulate", "--config", "GAME", "--samples", "1"], "--samples"),
+        (["verify", "--seed", "-2000"], "--seed"),
+        (["game", "simulate", "--config", "GAME", "--seed", "-5"], "--seed"),
+        (["convolve", "--config", "GAME", "--max-ground", "-1"], "--max-ground"),
+        (["scenario", "--config", "GAME", "--max-ground", "-1"], "--max-ground"),
+        (["game", "analyze", "--config", "GAME", "--max-ground", "-1"], "--max-ground"),
+        (["game", "simulate", "--config", "GAME", "--max-ground", "-1"], "--max-ground"),
     ],
 )
 def test_meaningless_sizes_are_usage_errors(tmp_path, capsys, argv, flag):

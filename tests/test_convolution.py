@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 
 import oracles
 from riskpool.convolution import (
-    IndexPartition,
     convolve,
     convolve_bruteforce,
     harris_gap,
     partition_expectation,
-    refines,
 )
 from riskpool.generators import random_coin_vector, random_setfunction
 from riskpool.lattice import (
@@ -326,31 +324,25 @@ def test_mismatched_grounds_rejected():
         convolve(f, f, CoinVector.uniform(_ground(3), 0.5))
 
 
-# -- index partitions and refinement monotonicity ------------------------------
+# -- the coarsening inequality for many functions ------------------------------
 
 
-def test_index_partition_canonical_form():
-    part = IndexPartition([[2, 1], [0], [4, 3]])
-    assert part.blocks == ((0,), (1, 2), (3, 4))
-    assert IndexPartition.singletons(3).blocks == ((0,), (1,), (2,))
-    assert IndexPartition.single_block(3).blocks == ((0, 1, 2),)
-    with pytest.raises(ValueError):
-        IndexPartition([[0, 0], [1]])
-    with pytest.raises(ValueError):
-        IndexPartition([[0], []])
-
-
-def test_refines_relation():
-    fine = IndexPartition([[0], [1], [2]])
-    mid = IndexPartition([[0, 1], [2]])
-    top = IndexPartition.single_block(3)
-    assert refines(fine, mid)
-    assert refines(mid, top)
-    assert refines(fine, top)
-    assert not refines(top, fine)
-    assert refines(mid, mid)
-    with pytest.raises(ValueError):
-        refines(fine, IndexPartition([[0], [1]]))
+def test_partition_expectation_rejects_bad_blocks():
+    g = _ground(1)
+    ind = SetFunction(g, (0, 1))
+    p = CoinVector(g, (Fraction(1, 2),))
+    fns = [ind, ind, ind]
+    bad = (
+        [[0, 1], [2], []],  # empty block
+        [[0, 0], [1, 2]],  # index in two blocks
+        [[0], [1, 2], [2]],
+        [[0], [1]],  # index 2 uncovered
+        [[0], [1, 2, 3]],  # index 3 names no function
+    )
+    for blocks in bad:
+        with pytest.raises(ValueError):
+            partition_expectation(fns, blocks, p)
+    assert partition_expectation(fns, [[2, 1], [0]], p) == Fraction(1, 4)
 
 
 def test_partition_expectation_worked_example():
@@ -358,26 +350,32 @@ def test_partition_expectation_worked_example():
     ind = SetFunction(g, (0, 1))
     p = CoinVector(g, (Fraction(1, 2),))
     fns = [ind, ind]
-    assert partition_expectation(fns, IndexPartition.single_block(2), p) == Fraction(1, 2)
-    assert partition_expectation(fns, IndexPartition.singletons(2), p) == Fraction(1, 4)
+    assert partition_expectation(fns, [[0, 1]], p) == Fraction(1, 2)
+    assert partition_expectation(fns, [[0], [1]], p) == Fraction(1, 4)
 
 
 def test_partition_expectation_grows_with_coarsening():
+    # Merging any two blocks never lowers the value, and every partition
+    # sits between the singletons and the single block.
     rng = random.Random(51)
     parts3 = [
-        IndexPartition([[0], [1], [2]]),
-        IndexPartition([[0, 1], [2]]),
-        IndexPartition([[0, 2], [1]]),
-        IndexPartition([[0], [1, 2]]),
-        IndexPartition.single_block(3),
+        [[0], [1], [2]],
+        [[0, 1], [2]],
+        [[0, 2], [1]],
+        [[0], [1, 2]],
+        [[0, 1, 2]],
     ]
     for _ in range(15):
         n = rng.randint(1, 3)
         g = _ground(n)
         fns = [random_increasing(rng, g, rng.randint(0, 5)) for _ in range(3)]
         p = random_coin_vector(rng, g)
-        vals = {part.blocks: partition_expectation(fns, part, p) for part in parts3}
-        for fine in parts3:
-            for coarse in parts3:
-                if refines(fine, coarse):
-                    assert vals[coarse.blocks] >= vals[fine.blocks] - 1e-9
+        bottom = partition_expectation(fns, parts3[0], p)
+        top = partition_expectation(fns, parts3[-1], p)
+        for blocks in parts3:
+            val = partition_expectation(fns, blocks, p)
+            assert bottom - 1e-9 <= val <= top + 1e-9
+            for a, b in itertools.combinations(range(len(blocks)), 2):
+                rest = [blk for i, blk in enumerate(blocks) if i not in (a, b)]
+                merged = partition_expectation(fns, rest + [blocks[a] + blocks[b]], p)
+                assert merged >= val - 1e-9

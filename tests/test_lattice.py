@@ -1,4 +1,5 @@
-"""Ground sets, subset tables, product measures, and the coupled pair law."""
+"""Ground sets, subset tables, the product measure, the coupled pair law,
+and monotone families."""
 
 import random
 from fractions import Fraction
@@ -6,19 +7,17 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from riskpool.convolution import convolve
 from riskpool.lattice import (
     CoinVector,
     GroundSet,
     MonotoneFamily,
-    PairDistribution,
     SetFunction,
     all_monotone_indicators,
     expectation,
     from_moebius_weights,
     is_decreasing,
     is_increasing,
-    pair_measure,
-    product_measure,
     product_measure_table,
     random_increasing,
     submasks,
@@ -180,11 +179,11 @@ def test_coin_vector_validation():
 def test_product_measure_worked_example():
     g = _ground(2)
     p = CoinVector(g, (0.3, 0.8))
-    assert close(product_measure(p, 3), 0.24)
-    assert close(product_measure(p, 0), 0.7 * 0.2)
-    assert close(product_measure(p, 1), 0.3 * 0.2)
     table = product_measure_table(p)
-    assert all(close(table[m], product_measure(p, m)) for m in g.subsets())
+    assert close(table[3], 0.24)
+    assert close(table[0], 0.7 * 0.2)
+    assert close(table[1], 0.3 * 0.2)
+    assert close(table[2], 0.7 * 0.8)
     assert close(sum(table), 1)
 
 
@@ -208,13 +207,24 @@ def test_expectation_matches_oracle_exact():
 # -- coupled pair law --------------------------------------------------------
 
 
+def _pair_law(p, coupled):
+    """P[S1 = a, S2 = b] for every mask pair (a, b): the coupled product of
+    the point indicators of a and b, read at the coupled set."""
+    g = p.ground
+    point = [SetFunction(g, (int(m == a) for m in g.subsets())) for a in g.subsets()]
+    return {
+        (a, b): convolve(point[a], point[b], p)(coupled)
+        for a in g.subsets() for b in g.subsets()
+    }
+
+
 def test_pair_measure_worked_example():
     g = _ground(2)
     p = CoinVector.uniform(g, 0.5)
-    d = pair_measure(p, g.bit("h0"))
+    d = _pair_law(p, g.bit("h0"))
     # shared coin on h0 heads, free coins on h1 land tails then heads
-    assert close(d.weight(0b01, 0b11), 0.125)
-    assert close(d.weight(0b10, 0b01), 0.0)
+    assert close(d[(0b01, 0b11)], 0.125)
+    assert close(d[(0b10, 0b01)], 0.0)
 
 
 def test_pair_measure_support_and_marginals():
@@ -224,15 +234,15 @@ def test_pair_measure_support_and_marginals():
         g = _ground(n)
         p = CoinVector(g, [Fraction(rng.randint(0, 4), 4) for _ in range(n)])
         coupled = rng.randrange(1 << n)
-        d = pair_measure(p, coupled)
+        d = _pair_law(p, coupled)
         mu = product_measure_table(p)
-        for s1, s2, w in d.items():
-            assert w > 0
-            assert s1 & coupled == s2 & coupled  # agree inside the shared set
-        for which in (0, 1):
-            marg = d.marginal(which)
-            for m in g.subsets():
-                assert marg.get(m, 0) == mu[m]
+        for (s1, s2), w in d.items():
+            assert w >= 0
+            if s1 & coupled != s2 & coupled:  # must agree inside the shared set
+                assert w == 0
+        for m in g.subsets():
+            assert sum(d[(m, s2)] for s2 in g.subsets()) == mu[m]
+            assert sum(d[(s1, m)] for s1 in g.subsets()) == mu[m]
 
 
 def test_pair_measure_matches_coin_enumeration():
@@ -242,13 +252,13 @@ def test_pair_measure_matches_coin_enumeration():
         g = _ground(n)
         p = CoinVector(g, [Fraction(rng.randint(0, 5), 5) for _ in range(n)])
         coupled = rng.randrange(1 << n)
-        d = pair_measure(p, coupled)
         want = oracles.pair_weights(
             oracles.probs_of(p), frozenset(g.labels_of(coupled))
         )
         got = {
             (frozenset(g.labels_of(s1)), frozenset(g.labels_of(s2))): w
-            for s1, s2, w in d.items()
+            for (s1, s2), w in _pair_law(p, coupled).items()
+            if w != 0
         }
         assert got == want
 
@@ -257,25 +267,10 @@ def test_pair_measure_endpoints():
     g = _ground(2)
     p = CoinVector(g, (Fraction(1, 3), Fraction(2, 5)))
     mu = product_measure_table(p)
-    independent = pair_measure(p, 0)
-    for s1, s2, w in independent.items():
+    for (s1, s2), w in _pair_law(p, 0).items():
         assert w == mu[s1] * mu[s2]
-    diagonal = pair_measure(p, g.full)
-    for s1, s2, w in diagonal.items():
-        assert s1 == s2
-        assert w == mu[s1]
-
-
-def test_pair_measure_validation():
-    g = _ground(2)
-    p = CoinVector.uniform(g, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        pair_measure(p, 5)
-    with pytest.raises(ValueError):
-        PairDistribution(g, 0, {(0, 0): Fraction(1, 2)})  # does not sum to one
-    big = GroundSet([f"x{i}" for i in range(11)])
-    with pytest.raises(ValueError):
-        pair_measure(CoinVector.uniform(big, Fraction(1, 2)), 0)
+    for (s1, s2), w in _pair_law(p, g.full).items():
+        assert w == (mu[s1] if s1 == s2 else 0)
 
 
 # -- monotone families -------------------------------------------------------
@@ -299,7 +294,6 @@ def test_monotone_family_rejects_non_up_closed():
     table = [False, True, False, False]  # {h0} in, {h0,h1} out
     with pytest.raises(ValueError):
         MonotoneFamily(g, table)
-    assert MonotoneFamily.from_seeds(g, [1]).masks() == up_closure(g, [1]).masks()
 
 
 def test_all_monotone_indicator_counts():

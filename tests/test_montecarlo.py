@@ -12,11 +12,10 @@ from riskpool.generators import random_coin_vector, random_game_spec, random_pro
 from riskpool.lattice import CoinVector, GroundSet, SetFunction, random_increasing
 from riskpool.montecarlo import (
     EstimateReport,
+    _sample_masks,
     estimate_convolution,
     estimate_payoff,
     generator,
-    sample_success,
-    substreams,
 )
 from riskpool.partition_game import GameSpec, expected_payoff, scaled_spec
 
@@ -40,13 +39,6 @@ def _simple_spec(p=F(1, 2)):
 def test_generator_is_deterministic():
     assert generator(7).random() == generator(7).random()
     assert generator(7).random() != generator(8).random()
-
-
-def test_substreams_are_replayable_and_distinct():
-    a = [g.random() for g in substreams(42, 4)]
-    b = [g.random() for g in substreams(42, 4)]
-    assert a == b
-    assert len(set(a)) == 4
 
 
 def test_report_validation():
@@ -135,26 +127,18 @@ def test_general_scaling_is_linear_within_tolerance():
 def test_sample_success_respects_block_structure():
     spec = _simple_spec()
     profile = spec.coarse_profile()
-    rng = generator(3)
-    seen = set()
-    for _ in range(200):
-        st = sample_success(spec, profile, rng)
-        assert st.commodities == spec.commodities
-        seen.add(st.masks)
-        # one shipment carries both commodities: masks agree
-        assert st.mask_of("a") == st.mask_of("b")
-    assert seen == {(0, 0), (1, 1)}
+    masks = _sample_masks(spec, profile, 200, generator(3))
+    assert masks.shape == (200, len(spec.commodities))
+    # one shipment carries both commodities: masks agree
+    assert (masks[:, 0] == masks[:, 1]).all()
+    assert {tuple(row) for row in masks.tolist()} == {(0, 0), (1, 1)}
 
 
 def test_sample_success_frequencies_are_sane():
     spec = _simple_spec(p=F(3, 4))
     profile = spec.finest_profile()
-    rng = generator(4)
-    hits = 0
     trials = 4000
-    for _ in range(trials):
-        st = sample_success(spec, profile, rng)
-        hits += st.mask_of("a") & 1
+    hits = int((_sample_masks(spec, profile, trials, generator(4))[:, 0] & 1).sum())
     # expect about 3000; a binomial 6-sigma band keeps this deterministic test safe
     sigma = (trials * 0.75 * 0.25) ** 0.5
     assert abs(hits - trials * 0.75) < 6 * sigma
@@ -186,6 +170,3 @@ def test_seeded_streams_are_pinned():
     for h, (mean, stderr) in pinned.items():
         est = estimate_payoff(spec, profile, h, 5000, 11)
         assert (est.mean, est.stderr) == (mean, stderr)
-    rng = generator(12)
-    draws = [sample_success(spec, profile, rng).masks for _ in range(6)]
-    assert draws == [(3, 0, 3), (3, 1, 3), (2, 0, 2), (3, 1, 3), (3, 0, 3), (0, 0, 0)]

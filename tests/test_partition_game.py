@@ -1,5 +1,9 @@
 """Partition strategies, success-tuple laws, product payoffs, dominance of
-coarsening, Nash search, conditional comparisons, and payoff scaling."""
+coarsening, Nash search, conditional comparisons, and payoff scaling.
+
+The law of the success tuple is read off expected payoffs: with one factor
+the arrival indicator of a supplier and every other factor the constant 1,
+the payoff is the probability of that arrival."""
 
 import itertools
 import random
@@ -13,7 +17,6 @@ from riskpool.generators import random_game_spec, random_profile
 from riskpool.lattice import CoinVector, GroundSet, SetFunction, expectation
 from riskpool.numerics import close
 from riskpool.partition_game import (
-    BELL,
     MAX_TOTAL_BLOCKS,
     GameSpec,
     PartitionStrategy,
@@ -25,13 +28,10 @@ from riskpool.partition_game import (
     conditional_block_factors,
     conditional_payoffs,
     enumerate_partitions,
-    expected_output,
     expected_payoff,
     find_nash,
     finest_strategy,
-    outcome_atoms,
     scaled_spec,
-    success_distribution,
 )
 
 F = Fraction
@@ -67,9 +67,10 @@ def _two_supplier_spec():
 
 
 def test_partition_counts_follow_bell_numbers():
+    bell = (1, 1, 2, 5, 15)
     for n in range(5):
         ks = [f"k{i}" for i in range(n)]
-        assert len(enumerate_partitions(ks)) == BELL[n]
+        assert len(enumerate_partitions(ks)) == bell[n]
     with pytest.raises(ValueError):
         enumerate_partitions([f"k{i}" for i in range(9)])
     with pytest.raises(ValueError):
@@ -94,9 +95,7 @@ def test_strategy_validation():
     with pytest.raises(ValueError):
         PartitionStrategy("h", [["a"], []])
     s = PartitionStrategy("h", [["a", "b"], ["c"]])
-    assert s.block_of("c") == 1
-    with pytest.raises(KeyError):
-        s.block_of("z")
+    assert s.commodity_set == {"a", "b", "c"}
 
 
 def test_coarser_relation():
@@ -154,6 +153,7 @@ def test_spec_build_validation():
 
 
 def test_symmetric_flag_is_checked_not_trusted():
+    # the flag is computed from the payoffs and cannot be passed in
     g = GroundSet(["h1", "h2"])
     f = SetFunction(g, (0, 1, 1, 2))
     other = SetFunction(g, (0, 1, 2, 3))
@@ -162,41 +162,66 @@ def test_symmetric_flag_is_checked_not_trusted():
         CoinVector.uniform(g, F(1, 2)), {"k": f},
     )
     assert spec.symmetric
-    with pytest.raises(ValueError):
+    assert GameSpec(spec.commodities, spec.suppliers, spec.supply, spec.p, ((f, f),)).symmetric
+    with pytest.raises(TypeError):
         GameSpec(
             spec.commodities, spec.suppliers, spec.supply, spec.p,
             ((f, other),), symmetric=True,
         )
-    asym = GameSpec(
-        spec.commodities, spec.suppliers, spec.supply, spec.p,
-        ((f, other),), symmetric=False,
-    )
+    asym = GameSpec(spec.commodities, spec.suppliers, spec.supply, spec.p, ((f, other),))
     assert not asym.symmetric
 
 
 # -- success distribution --------------------------------------------------------
 
 
+def _factor_spec(spec, factors):
+    """The spec's game with the given per-commodity factors, shared by every
+    player, and the constant 1 for every other commodity."""
+    one = SetFunction.constant(spec.p.ground, 1)
+    return GameSpec.build(
+        spec.commodities, spec.suppliers, dict(zip(spec.suppliers, spec.supply)), spec.p,
+        {k: factors.get(k, one) for k in spec.commodities},
+    )
+
+
+def _arrived(spec, h):
+    """The indicator that supplier h's shipment is among the arrivals."""
+    g = spec.p.ground
+    return SetFunction(g, (m >> spec.h_index(h) & 1 for m in g.subsets()))
+
+
 def test_success_distribution_single_supplier():
+    # the law of (mask of k0, mask of k1), by inclusion-exclusion
     spec = _single_supplier_spec([(0, 1), (0, 1)])
-    coarse = spec.coarse_profile()
-    fine = spec.finest_profile()
-    coarse_law = {tuple(st.masks): w for st, w in success_distribution(spec, coarse)}
-    assert coarse_law == {(0, 0): F(1, 2), (1, 1): F(1, 2)}
-    fine_law = {tuple(st.masks): w for st, w in success_distribution(spec, fine)}
-    assert fine_law == {
+    ind = _arrived(spec, "h")
+
+    def law(profile):
+        both, first, second = (
+            expected_payoff(_factor_spec(spec, factors), profile, "h")
+            for factors in ({"k0": ind, "k1": ind}, {"k0": ind}, {"k1": ind})
+        )
+        atoms = {
+            (1, 1): both, (1, 0): first - both, (0, 1): second - both,
+            (0, 0): 1 - first - second + both,
+        }
+        return {atom: w for atom, w in atoms.items() if w}
+
+    assert law(spec.coarse_profile()) == {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+    assert law(spec.finest_profile()) == {
         (0, 0): F(1, 4), (0, 1): F(1, 4), (1, 0): F(1, 4), (1, 1): F(1, 4),
     }
 
 
 def test_atom_probabilities_sum_to_one():
+    # every factor is 1, so the payoff is the total probability
     rng = random.Random(81)
     for _ in range(15):
         spec = random_game_spec(rng)
         profile = random_profile(rng, spec)
-        atoms = outcome_atoms(spec, profile)
-        assert sum(a.probability for a in atoms) == 1
-        assert all(a.probability > 0 for a in atoms)
+        ones = _factor_spec(spec, {})
+        for h in spec.suppliers:
+            assert expected_payoff(ones, profile, h) == 1
 
 
 def test_degenerate_coin_drops_zero_atoms():
@@ -208,15 +233,13 @@ def test_degenerate_coin_drops_zero_atoms():
     for p, tables, arrived in cases:
         spec = _single_supplier_spec(tables, p=p)
         profile = spec.finest_profile()
-        atoms = outcome_atoms(spec, profile)
-        assert len(atoms) == 1
-        assert atoms[0].arrivals == ((arrived, arrived),)
-        assert atoms[0].probability == 1
         assert expected_payoff(spec, profile, "h") == int(arrived)
 
 
 def test_commodity_marginals_unchanged_by_merging_blocks():
-    # merging blocks changes the joint law but not any single commodity's
+    # merging blocks changes the joint law but not any single commodity's:
+    # commodity k arrives from `target` with probability p_target whenever
+    # target supplies k, whatever the profile
     rng = random.Random(82)
     for _ in range(15):
         spec = random_game_spec(rng)
@@ -224,14 +247,11 @@ def test_commodity_marginals_unchanged_by_merging_blocks():
         p2 = random_profile(rng, spec)
         for k in spec.commodities:
             for target in spec.suppliers:
-                m1 = m2 = 0
-                for st, w in success_distribution(spec, p1):
-                    if st.mask_of(k) >> spec.h_index(target) & 1:
-                        m1 += w
-                for st, w in success_distribution(spec, p2):
-                    if st.mask_of(k) >> spec.h_index(target) & 1:
-                        m2 += w
+                marginal = _factor_spec(spec, {k: _arrived(spec, target)})
+                m1 = expected_payoff(marginal, p1, target)
+                m2 = expected_payoff(marginal, p2, target)
                 assert m1 == m2
+                assert m1 == (spec.p.of(target) if k in spec.supply_of(target) else 0)
 
 
 # -- expected payoffs ------------------------------------------------------------
@@ -241,14 +261,6 @@ def test_single_supplier_two_commodity_values():
     spec = _single_supplier_spec([(0, 1), (0, 1)])
     assert expected_payoff(spec, spec.coarse_profile(), "h") == F(1, 2)
     assert expected_payoff(spec, spec.finest_profile(), "h") == F(1, 4)
-    assert expected_output(spec, spec.coarse_profile()) == F(1, 2)
-
-
-def test_expected_output_requires_symmetric():
-    spec = _two_supplier_spec()
-    assert not spec.symmetric
-    with pytest.raises(ValueError):
-        expected_output(spec, spec.coarse_profile())
 
 
 def _oracle_payoff(spec, profile, h):
@@ -285,7 +297,6 @@ def test_exact_and_float_paths_agree():
             tuple(
                 tuple(f.map(float) for f in row) for row in spec.payoffs
             ),
-            spec.symmetric,
         )
         for h in spec.suppliers:
             exact = expected_payoff(spec, profile, h)
@@ -452,8 +463,6 @@ def test_profile_over_the_block_cap_is_refused():
     assert sum(len(s.blocks) for s in profile.strategies) == MAX_TOTAL_BLOCKS + 1
     with pytest.raises(ValueError, match="shipment blocks"):
         expected_payoff(spec, profile, "h1")
-    with pytest.raises(ValueError, match="shipment blocks"):
-        outcome_atoms(spec, profile)
 
 
 # -- conditional two-block comparison ---------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 import oracles
 from riskpool.convolution import convolve
 from riskpool.generators import (
-    random_coin_vector,
     random_merger,
     random_military,
     random_production,
@@ -29,13 +28,10 @@ from riskpool.scenarios import (
     MilitaryScenario,
     TwoInputProduction,
     WeightedVotingSpec,
-    merger_probability,
     merger_table,
-    military_outcomes,
     military_tables,
     optimal_strategies,
     production_factors,
-    production_payoff,
     production_table,
     weighted_voting,
 )
@@ -51,10 +47,8 @@ def _ground(n):
 def test_production_single_supplier_worked_example():
     g = _ground(1)
     sc = TwoInputProduction(g, (4,), (9,), 0.5, 0.5, CoinVector(g, (0.5,)))
-    assert close(production_payoff(sc, 1), 3.0)
-    assert close(production_payoff(sc, 0), 1.5)
     table = production_table(sc)
-    assert close(table.values[0], 1.5) and close(table.values[1], 3.0)
+    assert close(table(1), 3.0) and close(table(0), 1.5)
     assert 1 in optimal_strategies(table)
 
 
@@ -139,7 +133,6 @@ def test_military_single_site_worked_example():
     assert close(both.values[0], 0.25) and close(both.values[1], 0.5)
     assert close(neither.values[0], 0.25) and close(neither.values[1], 0.5)
     assert close(one.values[0], 0.5) and close(one.values[1], 0.0)
-    assert military_outcomes(sc, 1) == (both.values[1], neither.values[1], one.values[1])
 
 
 def test_military_disjoint_networks_decouple():
@@ -201,8 +194,9 @@ def test_merger_two_shareholder_worked_example():
     g = _ground(2)
     nonempty = SetFunction(g, (0, 1, 1, 1))
     sc = MergerScenario(g, nonempty, nonempty, CoinVector.uniform(g, 0.5))
-    assert close(merger_probability(sc, 0), 0.5625)
-    assert close(merger_probability(sc, g.full), 0.75)
+    table = merger_table(sc)
+    assert close(table(0), 0.5625)
+    assert close(table(g.full), 0.75)
 
 
 def test_merger_dictator():
@@ -210,8 +204,9 @@ def test_merger_dictator():
     dictator = SetFunction(g, (0, 1, 0, 1))  # h0 decides alone
     q = Fraction(2, 7)
     sc = MergerScenario(g, dictator, dictator, CoinVector(g, (q, Fraction(1, 3))))
-    assert merger_probability(sc, 0) == q * q
-    assert merger_probability(sc, g.bit("h0")) == q
+    table = merger_table(sc)
+    assert table(0) == q * q
+    assert table(g.bit("h0")) == q
 
 
 def test_merger_table_is_convolution():
