@@ -42,6 +42,7 @@ from .partition_game import (
     coarse_strategy,
     coarser,
     conditional_block_factors,
+    conditional_block_rows,
     conditional_payoffs,
     enumerate_partitions,
     expected_payoff,
@@ -85,6 +86,7 @@ __all__ = [
     "coarse_strategy",
     "coarser",
     "conditional_block_factors",
+    "conditional_block_rows",
     "conditional_payoffs",
     "convolve",
     "convolve_bruteforce",

@@ -23,6 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from . import generators
 from .convolution import convolve, convolve_bruteforce, harris_gap
 from .lattice import (
@@ -38,13 +40,14 @@ from .lattice import (
     up_closure,
 )
 from .montecarlo import estimate_convolution, estimate_payoff
-from .numerics import Value, close, format_value, geq, parse_value
+from .numerics import Value, close, close_array, format_value, geq, geq_array, parse_value
 from .partition_game import (
     GameSpec,
     StrategyProfile,
     best_replies,
     check_dominance,
     conditional_block_factors,
+    conditional_block_rows,
     conditional_payoffs,
     expected_payoff,
     find_nash,
@@ -494,53 +497,85 @@ def _profile_key(profile: StrategyProfile) -> str:
     )
 
 
+def _merging_rows(
+    ph: Value, factors: tuple[np.ndarray, ...], scales: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Separate and merged conditional payoffs and p(1-p)(a1-a0)(b1-b0)c
+    of every row of conditional_block_rows.  Exact rows are integers over
+    one common positive scale, returned with them; float rows repeat
+    conditional_payoffs' order of operations and have scale 1."""
+    a0, a1, b0, b1, c = factors
+    if a0.dtype != object:
+        q, pf, pq = float(1 - ph), float(ph), float(ph * (1 - ph))
+        return (
+            (q * a0 + pf * a1) * (q * b0 + pf * b1) * c,
+            (q * (a0 * b0) + pf * (a1 * b1)) * c,
+            pq * (a1 - a0) * (b1 - b0) * c,
+            1,
+        )
+    win, den = ph.numerator, ph.denominator
+    lose = den - win
+    return (
+        (lose * a0 + win * a1) * (lose * b0 + win * b1) * c,
+        (lose * (a0 * b0) + win * (a1 * b1)) * c * den,
+        win * lose * (a1 - a0) * (b1 - b0) * c,
+        den * den * scales[0] * scales[2] * scales[4],
+    )
+
+
+def _conditioning(
+    spec: GameSpec, profile: StrategyProfile, bits: list[bool], h: str, i: int, j: int
+) -> dict[str, list[bool | None]]:
+    """The conditioning of one row of conditional_block_rows' arrival matrix."""
+    out, col = {}, 0
+    for g, s in zip(spec.suppliers, profile.strategies):
+        out[g] = bits[col : col + len(s.blocks)]
+        col += len(s.blocks)
+    out[h][i] = out[h][j] = None
+    return out
+
+
 def _expost_sweep(spec: GameSpec, profile: StrategyProfile) -> dict:
+    """Check that merging blocks i < j never hurts player h, at every
+    conditioning of the other blocks, all of a pair's conditionings in one
+    batch.  The scalar conditional_payoffs and conditional_block_factors
+    recompute each batch's first row, and must agree with it."""
     total_blocks = sum(len(s.blocks) for s in profile.strategies)
     if total_blocks > EXPOST_BLOCK_CAP:
         raise ConfigError(f"ex-post sweep is limited to {EXPOST_BLOCK_CAP} blocks")
     checked = 0
-    others = [
-        (gi, bi)
-        for gi, s in enumerate(profile.strategies)
-        for bi in range(len(s.blocks))
-    ]
     for hi, h in enumerate(spec.suppliers):
-        strat = profile.strategies[hi]
-        nb = len(strat.blocks)
-        if nb < 2:
-            continue
         ph = spec.p.p[hi]
-        for i in range(nb):
-            for j in range(i + 1, nb):
-                free = [(gi, bi) for gi, bi in others if not (gi == hi and bi in (i, j))]
-                for bits in itertools.product((False, True), repeat=len(free)):
-                    conditioning: dict[str, list[bool | None]] = {
-                        g: [None if (gi == hi and bi in (i, j)) else False for bi in range(len(s.blocks))]
-                        for gi, (g, s) in enumerate(zip(spec.suppliers, profile.strategies))
-                    }
-                    for (gi, bi), bit in zip(free, bits):
-                        conditioning[spec.suppliers[gi]][bi] = bit
-                    sep, merged = conditional_payoffs(spec, profile, h, i, j, conditioning)
-                    a0, a1, b0, b1, c = conditional_block_factors(
-                        spec, profile, h, i, j, conditioning
-                    )
-                    identity = ph * (1 - ph) * (a1 - a0) * (b1 - b0) * c
-                    checked += 1
-                    if not geq(merged, sep) or not close(merged - sep, identity):
-                        return {
-                            "checked": checked,
-                            "holds": False,
-                            "violation": {
-                                "player": h,
-                                "blocks": [i, j],
-                                "conditioning": {
-                                    g: [b for b in bits_]
-                                    for g, bits_ in conditioning.items()
-                                },
-                                "separate": format_value(sep),
-                                "merged": format_value(merged),
-                            },
-                        }
+        for i, j in itertools.combinations(range(len(profile.strategies[hi].blocks)), 2):
+            arrived, factors, scales = conditional_block_rows(spec, profile, h, i, j)
+            sep, merged, identity, scale = _merging_rows(ph, factors, scales)
+            exact = sep.dtype == object
+            first = _conditioning(spec, profile, arrived[0].tolist(), h, i, j)
+            scalar = conditional_payoffs(spec, profile, h, i, j, first)
+            scalar += conditional_block_factors(spec, profile, h, i, j, first)
+            batch = [
+                Fraction(arr[0], sc) if exact else float(arr[0])
+                for arr, sc in zip((sep, merged) + factors, (scale, scale) + scales)
+            ]
+            if not all(map(close, scalar, batch)):
+                raise RuntimeError(f"batched ex-post rows of {h!r} disagree with conditional_payoffs")
+            failed = np.flatnonzero(~geq_array(merged, sep) | ~close_array(merged - sep, identity))
+            if failed.size:
+                row = int(failed[0])
+                conditioning = _conditioning(spec, profile, arrived[row].tolist(), h, i, j)
+                sep_value, merged_value = conditional_payoffs(spec, profile, h, i, j, conditioning)
+                return {
+                    "checked": checked + row + 1,
+                    "holds": False,
+                    "violation": {
+                        "player": h,
+                        "blocks": [i, j],
+                        "conditioning": conditioning,
+                        "separate": format_value(sep_value),
+                        "merged": format_value(merged_value),
+                    },
+                }
+            checked += len(arrived)
     return {"checked": checked, "holds": True, "violation": None}
 
 
@@ -559,6 +594,8 @@ def _cmd_game_analyze(args) -> int:
     lists = [spec.strategies(h) for h in spec.suppliers]
     profile_count = math.prod(len(lst) for lst in lists)
 
+    # The verdict builds the spec's payoff arrays, which the tables then read.
+    certs, nash, nash_has_coarse = _game_verdict(spec)
     payoff_tables: dict[str, dict[str, object]] | None = None
     if profile_count <= GAME_TABLE_CAP:
         payoff_tables = {h: {} for h in spec.suppliers}
@@ -567,8 +604,6 @@ def _cmd_game_analyze(args) -> int:
             key = _profile_key(prof)
             for h in spec.suppliers:
                 payoff_tables[h][key] = format_value(expected_payoff(spec, prof, h))
-
-    certs, nash, nash_has_coarse = _game_verdict(spec)
     all_hold = all(c.holds for c in certs)
     dominance = {}
     for cert in certs:
@@ -870,11 +905,12 @@ def _cmd_verify(args) -> int:
 def _at_least(low: int) -> Callable[[str], int]:
     """argparse type for a size or seed flag: an integer no smaller than low."""
 
-    def count(raw: str) -> int:
+    def at_least(raw: str) -> int:
         if int(raw) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {raw}")
         return int(raw)
-    return count
+    at_least.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return at_least
 
 
 def _add_common(sub: argparse.ArgumentParser, config: bool = True) -> None:

@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 Value = Union[int, float, Fraction]
 
 REL_TOL = 1e-9
@@ -46,6 +48,25 @@ def close(x: Value, y: Value) -> bool:
     if is_exact(x) and is_exact(y):
         return x == y
     return abs(float(x) - float(y)) <= slack(x, y)
+
+
+def _slack_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(x), np.abs(y)))
+
+
+def geq_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """geq elementwise: exact on object arrays of rationals, within
+    tolerance on float arrays."""
+    if x.dtype == object:
+        return x >= y
+    return x - y >= -_slack_array(x, y)
+
+
+def close_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """close elementwise, in the same two regimes as geq_array."""
+    if x.dtype == object:
+        return x == y
+    return np.abs(x - y) <= _slack_array(x, y)
 
 
 def argmax_ties(values: Sequence[Value]) -> list[int]:

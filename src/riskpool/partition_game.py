@@ -7,11 +7,14 @@ it arrived.  Player payoffs are expectations of products of nonnegative
 increasing functions of the success tuple, which is what makes the single
 all-in shipment (the coarse partition) a dominant strategy for everyone.
 
-A profile's payoffs come from one pass over all its block-arrival
-patterns, exact in rational mode and float64 otherwise; anything beyond the
-stated caps is an error rather than a silent approximation.  Sampling
-belongs to the montecarlo module, which maps sampled arrivals to success
-tuples with the same _success_masks.
+A player's payoff is multilinear in the suppliers' independent arrival
+laws, so exhaustive analysis contracts one payoff tensor per player over
+every commodity-arrival vector with each supplier's matrix of strategy laws;
+a single profile's payoffs come from one pass over its block-arrival
+patterns instead.  Both are exact in rational mode and float64 otherwise;
+anything beyond the stated caps is an error rather than a silent
+approximation.  Sampling belongs to the montecarlo module, which maps
+sampled arrivals to success tuples with the same _success_masks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .lattice import CoinVector, SetFunction, is_increasing
-from .numerics import Value, argmax_ties, clear_denominators, geq
+from .numerics import Value, argmax_ties, clear_denominators, geq, geq_array
 
 MAX_COMMODITIES = 8
 MAX_SUPPLIERS = 6
@@ -149,14 +152,12 @@ class GameSpec:
     payoff.  `symmetric`, computed from the payoffs, is true when they do
     not depend on h.
 
-    The spec memoizes every player's expected payoff per profile, so each
-    distinct profile costs one sweep over its arrival patterns, whichever of
-    expected_payoff, best_replies, check_dominance or find_nash asks first.
-    The memo lives and dies with the spec and holds one tuple per distinct
-    profile asked for; the exhaustive sweeps refuse games of more than
-    MAX_PROFILES profiles, so they leave at most that many.  It takes no
-    part in equality, hashing or repr, and a spec derived from this one,
-    such as scaled_spec's, starts with an empty memo.
+    The first exhaustive request (check_dominance or find_nash) builds
+    every player's payoffs over all profiles at once, one array per player
+    (one in all for a symmetric game), and keeps them on the spec; from then
+    on expected_payoff and best_replies read them.  The arrays live and die
+    with the spec and take no part in equality, hashing or repr, and a spec
+    derived from this one, such as scaled_spec's, starts without them.
     """
 
     commodities: tuple[str, ...]
@@ -165,8 +166,9 @@ class GameSpec:
     p: CoinVector
     payoffs: tuple[tuple[SetFunction, ...], ...]
     symmetric: bool = field(init=False)
-    _payoff_memo: dict[StrategyProfile, tuple[Value, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
+    # (strategy -> axis position per supplier, payoff array per player)
+    _payoff_arrays: tuple[tuple[dict, ...], tuple[np.ndarray, ...]] | None = field(
+        default=None, init=False, compare=False, repr=False
     )
 
     def __post_init__(self):
@@ -300,6 +302,12 @@ def _validate_profile(spec: GameSpec, profile: StrategyProfile) -> None:
 _SLICE_ROWS = 1 << 16
 
 
+def _arrival_rows(rows: np.ndarray, width: int) -> np.ndarray:
+    """Boolean (rows x width) matrix whose row r has column j set iff bit
+    width-1-j of r is set: itertools.product order over width bits."""
+    return (rows[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(bool)
+
+
 def _arrival_patterns(
     spec: GameSpec, profile: StrategyProfile, exact: bool
 ) -> tuple[Iterator[tuple[np.ndarray, np.ndarray]], int]:
@@ -328,7 +336,6 @@ def _arrival_patterns(
             law = np.multiply.outer(law, np.array([den - win, win], dtype=law.dtype)).ravel()
         low -= nb
         laws.append((law, low, (1 << nb) - 1))
-    shifts = np.arange(total - 1, -1, -1)
 
     def slices() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for start in range(0, 1 << total, _SLICE_ROWS):
@@ -336,7 +343,7 @@ def _arrival_patterns(
             weights = 1
             for law, low, mask in laws:
                 weights = weights * law[(r >> low) & mask]
-            yield (r[:, None] >> shifts & 1).astype(bool), weights
+            yield _arrival_rows(r, total), weights
 
     return slices(), denom
 
@@ -369,6 +376,17 @@ def _payoff_tables(spec: GameSpec, hi: int) -> list[tuple[Value, ...]]:
     return [row[hi].values for row in spec.payoffs]
 
 
+def _table_arrays(spec: GameSpec, hi: int, exact: bool) -> tuple[list[np.ndarray], list[int]]:
+    """Player hi's payoff tables as arrays, with one scale per commodity:
+    exact tables are integers over the lcm of their denominators, float
+    tables have scale 1."""
+    if not exact:
+        tables = [np.array(tab, dtype=float) for tab in _payoff_tables(spec, hi)]
+        return tables, [1] * len(tables)
+    cleared = [clear_denominators(tab) for tab in _payoff_tables(spec, hi)]
+    return [np.array(ints, dtype=object) for ints, _ in cleared], [lcm for _, lcm in cleared]
+
+
 def _spec_exact(spec: GameSpec) -> bool:
     return spec.p.exact and all(f.exact for row in spec.payoffs for f in row)
 
@@ -388,12 +406,9 @@ def _payoffs_for(spec: GameSpec, profile: StrategyProfile) -> tuple[Value, ...]:
     tables: list[list[np.ndarray]] = []
     scales: list[int] = []
     for hi in owners:
-        if exact:
-            cleared = [clear_denominators(tab) for tab in _payoff_tables(spec, hi)]
-            tables.append([np.array(ints, dtype=object) for ints, _ in cleared])
-            scales.append(denom * math.prod(lcm for _, lcm in cleared))
-        else:
-            tables.append([np.array(tab, dtype=float) for tab in _payoff_tables(spec, hi)])
+        arrays, lcms = _table_arrays(spec, hi, exact)
+        tables.append(arrays)
+        scales.append(denom * math.prod(lcms))
     sums: list[list[Value]] = [[] for _ in tables]
     for arrived, weights in patterns:
         masks = _success_masks(spec, profile, arrived)
@@ -407,23 +422,104 @@ def _payoffs_for(spec: GameSpec, profile: StrategyProfile) -> tuple[Value, ...]:
     return tuple(values * players if spec.symmetric else values)
 
 
-def _profile_payoffs(spec: GameSpec, profile: StrategyProfile) -> tuple[Value, ...]:
-    """Every supplier's expected payoff, swept once per profile and spec."""
-    pays = spec._payoff_memo.get(profile)
-    if pays is None:
-        pays = spec._payoff_memo[profile] = _payoffs_for(spec, profile)
-    return pays
+def _strategy_law(
+    strat: PartitionStrategy, owned: Sequence[str], ph: Value, exact: bool
+) -> np.ndarray:
+    """Law of a supplier's commodity-arrival vector under strat.
+
+    Entry x covers the 2**len(owned) vectors, bit len(owned)-1-c of x
+    marking owned[c] as arrived.  Each block arrives whole with probability
+    ph or not at all, so the law vanishes on vectors that split a block.
+    Exact laws are integers over den**len(owned), float laws have scale 1.
+    """
+    win, den = (ph.numerator, ph.denominator) if exact else (float(ph), 1)
+    n = len(owned)
+    x = np.arange(1 << n)
+    pos = {k: n - 1 - c for c, k in enumerate(owned)}
+    choices = np.array([den - win, win, 0], dtype=object if exact else float)
+    law = np.full(1 << n, den ** (n - len(strat.blocks)), dtype=choices.dtype)
+    for block in strat.blocks:
+        bits = sum(1 << pos[k] for k in block)
+        hit = x & bits
+        law = law * choices[np.where(hit == bits, 1, np.where(hit == 0, 0, 2))]
+    return law
+
+
+def _build_payoff_arrays(
+    spec: GameSpec, lists: Sequence[Sequence[PartitionStrategy]]
+) -> tuple[tuple[dict, ...], tuple[np.ndarray, ...]]:
+    """Every player's payoff at every profile, as arrays indexed like lists.
+
+    Player h's tensor T_h[x_1, ..., x_H] = prod over k of F_k^h(S_k(x))
+    runs over the commodity-arrival vector x_g of every supplier (the
+    finest profile's arrival patterns, mapped by _success_masks).
+    Contracting its axis g with the matrix of supplier g's strategy laws,
+    one tensordot per axis, leaves the payoff of every profile in
+    itertools.product order.  Exact mode contracts denominator-cleared
+    integers and divides once; a symmetric game builds one array.  There
+    are 2**(sum of supply sizes) cells, and MAX_PROFILES already bounds that
+    sum at 21.
+    """
+    exact = _spec_exact(spec)
+    laws, denom = [], 1
+    for ph, owned, lst in zip(spec.p.p, spec.supply, lists):
+        laws.append(np.array([_strategy_law(s, owned, ph, exact) for s in lst]))
+        denom *= (ph.denominator if exact else 1) ** len(owned)
+    total = sum(len(owned) for owned in spec.supply)
+    finest = spec.finest_profile()
+    rows = np.arange(1 << total)
+    masks = np.concatenate([
+        _success_masks(spec, finest, _arrival_rows(rows[start : start + _SLICE_ROWS], total))
+        for start in range(0, len(rows), _SLICE_ROWS)
+    ])
+    arrays = []
+    for hi in range(1 if spec.symmetric else len(spec.suppliers)):
+        tables, lcms = _table_arrays(spec, hi, exact)
+        pay = _table_product(tables, masks, np.ones(len(masks), dtype=object if exact else float))
+        pay = pay.reshape([1 << len(owned) for owned in spec.supply])
+        for law in laws:
+            pay = np.tensordot(pay, law, axes=([0], [1]))
+        if exact:
+            scale = denom * math.prod(lcms)
+            pay = np.frompyfunc(lambda v: Fraction(v, scale), 1, 1)(pay)
+        arrays.append(pay)
+    index = tuple({s: pos for pos, s in enumerate(lst)} for lst in lists)
+    return index, tuple(arrays * len(spec.suppliers) if spec.symmetric else arrays)
 
 
 def expected_payoff(spec: GameSpec, profile: StrategyProfile, h: str) -> Value:
     """E[prod over k of F_k^h(S_k)] under the profile's shipment coins.
 
-    The first request for a profile computes every player's payoff in one
-    sweep and keeps them on the spec; later requests, for any player, read
-    them back.
+    Once an exhaustive request has built the spec's payoff arrays, this
+    reads one of their cells; before that, or for a profile whose
+    strategies are not spelled as spec.strategies spells them, it sweeps
+    the profile's arrival patterns.
     """
     hi = spec.h_index(h)
-    return _profile_payoffs(spec, profile)[hi]
+    if spec._payoff_arrays is not None:
+        index, arrays = spec._payoff_arrays
+        try:
+            cell = tuple([pos[s] for pos, s in zip(index, profile.strategies, strict=True)])
+        except (KeyError, ValueError):
+            pass
+        else:
+            return arrays[hi].item(cell)
+    return _payoffs_for(spec, profile)[hi]
+
+
+def _block_pair(
+    spec: GameSpec, profile: StrategyProfile, h: str, i: int, j: int
+) -> tuple[int, PartitionStrategy]:
+    """Index and strategy of h, after checking that blocks i and j exist."""
+    hi = spec.h_index(h)
+    _validate_profile(spec, profile)
+    strat = profile.strategies[hi]
+    nb = len(strat.blocks)
+    if nb < 2:
+        raise ValueError("conditional comparison needs at least two blocks")
+    if i == j or not (0 <= i < nb and 0 <= j < nb):
+        raise ValueError("block indices must be distinct and in range")
+    return hi, strat
 
 
 def conditional_block_factors(
@@ -442,14 +538,7 @@ def conditional_block_factors(
     the same for block j, and c the product over all other commodities at
     the conditioned outcome.
     """
-    hi = spec.h_index(h)
-    _validate_profile(spec, profile)
-    strat = profile.strategies[hi]
-    nb = len(strat.blocks)
-    if nb < 2:
-        raise ValueError("conditional comparison needs at least two blocks")
-    if i == j or not (0 <= i < nb and 0 <= j < nb):
-        raise ValueError("block indices must be distinct and in range")
+    hi, strat = _block_pair(spec, profile, h, i, j)
     if not set(conditioning) <= set(spec.suppliers):
         raise ValueError("conditioning names an unknown supplier")
 
@@ -497,6 +586,50 @@ def conditional_block_factors(
     b0, b1 = prod(block_j, False), prod(block_j, True)
     c = prod(rest, False)
     return a0, a1, b0, b1, c
+
+
+def conditional_block_rows(
+    spec: GameSpec, profile: StrategyProfile, h: str, i: int, j: int
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[int, ...]]:
+    """conditional_block_factors at every conditioning at once.
+
+    Returns the boolean (rows x blocks) arrival matrix of the conditionings,
+    columns the profile's blocks supplier by supplier: h's blocks i and j
+    stay False and the other blocks run through itertools.product order.
+    Then the arrays (a0, a1, b0, b1, c), one entry per row, and their
+    scales: exact factors are integers over them, float factors have scale
+    1 and repeat conditional_block_factors' order of operations.
+    """
+    hi, strat = _block_pair(spec, profile, h, i, j)
+    total = sum(len(s.blocks) for s in profile.strategies)
+    if total > MAX_TOTAL_BLOCKS:
+        raise ValueError(f"exact enumeration is limited to {MAX_TOTAL_BLOCKS} shipment blocks")
+    first = sum(len(s.blocks) for s in profile.strategies[:hi])
+    free = [col for col in range(total) if col not in (first + i, first + j)]
+    arrived = np.zeros((1 << len(free), total), dtype=bool)
+    arrived[:, free] = _arrival_rows(np.arange(len(arrived)), len(free))
+    masks = _success_masks(spec, profile, arrived)
+    exact = _spec_exact(spec)
+    tables, lcms = _table_arrays(spec, hi, exact)
+    hbit = 1 << hi
+    block_i = [spec.k_index(k) for k in strat.blocks[i]]
+    block_j = [spec.k_index(k) for k in strat.blocks[j]]
+    rest = [ki for ki in range(len(spec.commodities)) if ki not in block_i and ki not in block_j]
+
+    def prod(indices: list[int], with_h: bool) -> np.ndarray:
+        own = masks[:, indices] | hbit if with_h else masks[:, indices]
+        ones = np.ones(len(arrived), dtype=object if exact else float)
+        return _table_product([tables[ki] for ki in indices], own, ones)
+
+    factors = (
+        prod(block_i, False), prod(block_i, True),
+        prod(block_j, False), prod(block_j, True),
+        prod(rest, False),
+    )
+    scale_i, scale_j, scale_c = (
+        math.prod(lcms[ki] for ki in ks) for ks in (block_i, block_j, rest)
+    )
+    return arrived, factors, (scale_i, scale_i, scale_j, scale_j, scale_c)
 
 
 def conditional_payoffs(
@@ -554,13 +687,17 @@ class DominanceCertificate:
 
 
 def _strategy_lists(spec: GameSpec) -> list[list[PartitionStrategy]]:
-    lists = [spec.strategies(h) for h in spec.suppliers]
-    total = 1
-    for lst in lists:
-        total *= len(lst)
-    if total > MAX_PROFILES:
-        raise ValueError(f"profile space exceeds the {MAX_PROFILES} cap")
-    return lists
+    """Every supplier's strategies, the very objects that index the spec's
+    payoff arrays.  The first call checks MAX_PROFILES and builds them."""
+    if spec._payoff_arrays is None:
+        lists = [spec.strategies(h) for h in spec.suppliers]
+        total = 1
+        for lst in lists:
+            total *= len(lst)
+        if total > MAX_PROFILES:
+            raise ValueError(f"profile space exceeds the {MAX_PROFILES} cap")
+        object.__setattr__(spec, "_payoff_arrays", _build_payoff_arrays(spec, lists))
+    return [list(pos) for pos in spec._payoff_arrays[0]]
 
 
 def check_dominance(spec: GameSpec, h: str) -> DominanceCertificate:
@@ -570,9 +707,11 @@ def check_dominance(spec: GameSpec, h: str) -> DominanceCertificate:
     hi = spec.h_index(h)
     lists = _strategy_lists(spec)
     own = lists[hi]
-    crs = [
-        [a is not b and coarser(a, b) for b in own]
-        for a in own
+    pairs = [
+        (a, b)
+        for a in range(len(own))
+        for b in range(len(own))
+        if a != b and coarser(own[a], own[b])
     ]
     other_lists = [lst for gi, lst in enumerate(lists) if gi != hi]
     for others in itertools.product(*other_lists):
@@ -582,48 +721,31 @@ def check_dominance(spec: GameSpec, h: str) -> DominanceCertificate:
         pays = [
             expected_payoff(spec, profile.replace(hi, cand), h) for cand in own
         ]
-        for a, row in enumerate(crs):
-            for b, is_coarser in enumerate(row):
-                if is_coarser and not geq(pays[a], pays[b]):
-                    return DominanceCertificate(
-                        player=h,
-                        holds=False,
-                        violation=DominanceViolation(
-                            opponents=tuple(others),
-                            better=own[a],
-                            worse=own[b],
-                            payoff_better=pays[a],
-                            payoff_worse=pays[b],
-                        ),
-                    )
+        for a, b in pairs:
+            if not geq(pays[a], pays[b]):
+                return DominanceCertificate(
+                    player=h,
+                    holds=False,
+                    violation=DominanceViolation(
+                        opponents=tuple(others),
+                        better=own[a],
+                        worse=own[b],
+                        payoff_better=pays[a],
+                        payoff_worse=pays[b],
+                    ),
+                )
     return DominanceCertificate(player=h, holds=True, violation=None)
 
 
 def find_nash(spec: GameSpec) -> list[StrategyProfile]:
     """All pure-strategy profiles in which every strategy is a best reply."""
     lists = _strategy_lists(spec)
-    ranges = [range(len(lst)) for lst in lists]
-
-    def swept() -> Iterator[tuple[tuple[int, ...], StrategyProfile, tuple[Value, ...]]]:
-        # The payoffs live in the spec's memo; both passes read them there.
-        for combo in itertools.product(*ranges):
-            profile = StrategyProfile(lists[gi][ci] for gi, ci in enumerate(combo))
-            yield combo, profile, _profile_payoffs(spec, profile)
-
-    best: list[dict[tuple[int, ...], Value]] = [{} for _ in lists]
-    for combo, _, pays in swept():
-        for gi, val in enumerate(pays):
-            key = combo[:gi] + combo[gi + 1 :]
-            cur = best[gi].get(key)
-            if cur is None or val > cur:
-                best[gi][key] = val
+    nash = np.ones([len(lst) for lst in lists], dtype=bool)
+    for hi, pay in enumerate(spec._payoff_arrays[1]):
+        nash &= geq_array(pay, pay.max(axis=hi, keepdims=True))
     return [
-        profile
-        for combo, profile, pays in swept()
-        if all(
-            geq(val, best[gi][combo[:gi] + combo[gi + 1 :]])
-            for gi, val in enumerate(pays)
-        )
+        StrategyProfile(lists[gi][ci] for gi, ci in enumerate(cell))
+        for cell in np.argwhere(nash)
     ]
 
 

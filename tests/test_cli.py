@@ -8,11 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+from riskpool import cli
 from riskpool.cli import main
 from riskpool.convolution import convolve
 from riskpool.lattice import CoinVector, GroundSet, SetFunction
 from riskpool.numerics import parse_value
-from riskpool.partition_game import DominanceCertificate
+from riskpool.partition_game import DominanceCertificate, GameSpec
 
 CONV_CONFIG = {
     "kind": "convolution",
@@ -203,6 +204,67 @@ def test_game_analyze_report(tmp_path, capsys):
     assert set(report["payoff_tables"]) == {"h1", "h2"}
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_expost_sweep_pins_its_first_failure(exact):
+    # h2's factor for its commodity c falls when h2 delivers, which the spec
+    # refuses, so it is set past validation.  c (h1 and h2 both supply it)
+    # and d are h2's two blocks; the rest of h2's product is zero until h1's
+    # block a arrives.  h1's 3 pairs pass on 8 conditionings each, and h2's
+    # pair first fails at its fifth conditioning, the first with a arrived.
+    num = Fraction if exact else float
+    g = GroundSet(["h1", "h2"])
+
+    def table(*values):
+        return SetFunction(g, tuple(num(v) for v in values))
+
+    ks = ["a", "b", "c", "d"]
+    up = table(1, 2, 1, 2)
+    spec = GameSpec.build(
+        ks,
+        ["h1", "h2"],
+        {"h1": ["a", "b", "c"], "h2": ["c", "d"]},
+        CoinVector(g, (num(Fraction(1, 3)), num(Fraction(3, 4)))),
+        {
+            "a": {"h1": up, "h2": table(0, 2, 0, 2)},
+            "b": {"h1": up, "h2": table(1, 1, 1, 1)},
+            "c": {"h1": up, "h2": table(1, 1, 3, 3)},
+            "d": {"h1": up, "h2": table(1, 1, 3, 3)},
+        },
+    )
+    rows = list(spec.payoffs)
+    rows[2] = (up, table(2, 2, 1, 1))
+    object.__setattr__(spec, "payoffs", tuple(rows))
+    result = cli._expost_sweep(spec, spec.finest_profile())
+    assert result == {
+        "checked": 29,
+        "holds": False,
+        "violation": {
+            "player": "h2",
+            "blocks": [0, 1],
+            "conditioning": {"h1": [True, False, False], "h2": [None, None]},
+            "separate": "25/4" if exact else 6.25,
+            "merged": "11/2" if exact else 5.5,
+        },
+    }
+
+
+def test_expost_sweep_refuses_a_batch_the_scalar_code_contradicts(monkeypatch):
+    rows = cli.conditional_block_rows
+
+    def skewed(*args):
+        arrived, (a0, *rest), scales = rows(*args)
+        return arrived, (a0 + 1, *rest), scales
+
+    monkeypatch.setattr(cli, "conditional_block_rows", skewed)
+    g = GroundSet(["h1"])
+    up = SetFunction(g, (Fraction(1), Fraction(2)))
+    spec = GameSpec.build(
+        ["a", "b"], ["h1"], {"h1": ["a", "b"]}, CoinVector(g, (Fraction(1, 3),)), {"a": up, "b": up}
+    )
+    with pytest.raises(RuntimeError, match="disagree with conditional_payoffs"):
+        cli._expost_sweep(spec, spec.finest_profile())
+
+
 def test_game_simulate_agrees_with_exact(tmp_path, capsys):
     cfg = _write(tmp_path, "game.json", GAME_CONFIG)
     code, out, _ = _run(
@@ -299,6 +361,24 @@ def test_meaningless_sizes_are_usage_errors(tmp_path, capsys, argv, flag):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert f"argument {flag}: must be at least" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag, raw",
+    [
+        (["verify", "--seed", "abc"], "--seed", "abc"),
+        (["convolve", "--config", "GAME", "--max-ground", "x"], "--max-ground", "x"),
+        (["game", "simulate", "--config", "GAME", "--samples", "1.5"], "--samples", "1.5"),
+    ],
+)
+def test_non_integer_sizes_are_usage_errors(tmp_path, capsys, argv, flag, raw):
+    cfg = _write(tmp_path, "game.json", GAME_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main([cfg if a == "GAME" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: invalid int value: '{raw}'" in captured.err
     assert captured.out == ""
 
 

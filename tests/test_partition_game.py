@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from riskpool import partition_game
+from riskpool import cli, partition_game
 from riskpool.generators import random_game_spec, random_profile
-from riskpool.lattice import CoinVector, GroundSet, SetFunction, expectation
+from riskpool.lattice import CoinVector, GroundSet, SetFunction, expectation, random_increasing
 from riskpool.numerics import close
 from riskpool.partition_game import (
     MAX_TOTAL_BLOCKS,
@@ -26,6 +26,7 @@ from riskpool.partition_game import (
     coarse_strategy,
     coarser,
     conditional_block_factors,
+    conditional_block_rows,
     conditional_payoffs,
     enumerate_partitions,
     expected_payoff,
@@ -284,20 +285,23 @@ def test_payoff_matches_block_enumeration_oracle():
             assert expected_payoff(spec, profile, h) == _oracle_payoff(spec, profile, h)
 
 
+def _float_spec(spec):
+    """The same game with every coin and payoff value as a float."""
+    return GameSpec(
+        spec.commodities,
+        spec.suppliers,
+        spec.supply,
+        CoinVector(spec.p.ground, tuple(float(v) for v in spec.p.p)),
+        tuple(tuple(f.map(float) for f in row) for row in spec.payoffs),
+    )
+
+
 def test_exact_and_float_paths_agree():
     rng = random.Random(84)
     for _ in range(10):
         spec = random_game_spec(rng)
         profile = random_profile(rng, spec)
-        float_spec = GameSpec(
-            spec.commodities,
-            spec.suppliers,
-            spec.supply,
-            CoinVector(spec.p.ground, tuple(float(v) for v in spec.p.p)),
-            tuple(
-                tuple(f.map(float) for f in row) for row in spec.payoffs
-            ),
-        )
+        float_spec = _float_spec(spec)
         for h in spec.suppliers:
             exact = expected_payoff(spec, profile, h)
             approx = expected_payoff(float_spec, profile, h)
@@ -335,8 +339,8 @@ def test_profile_validation():
         [coarse_strategy("h1", ["a"]), coarse_strategy("h2", ["a"])]
     )
     short = StrategyProfile([coarse_strategy("h1", ["a", "b"])])
-    # The second pass runs with every valid profile's payoffs memoized:
-    # invalid profiles must still be refused rather than matched to them.
+    # The second pass runs after find_nash has built the payoff arrays:
+    # invalid profiles must still be refused rather than matched to a cell.
     for _ in range(2):
         for bad in (wrong_owner, wrong_cover, short):
             with pytest.raises(ValueError):
@@ -373,19 +377,22 @@ def _all_profiles(spec):
 
 
 @pytest.mark.parametrize("exact", [True, False])
-def test_each_profile_is_swept_once(monkeypatch, exact):
-    sweeps = []
-    arrival_patterns = partition_game._arrival_patterns
+def test_payoff_arrays_are_built_once_per_spec(monkeypatch, exact):
+    builds = []
+    build = partition_game._build_payoff_arrays
 
-    def counted(spec, profile, exact):
-        sweeps.append(profile)
-        return arrival_patterns(spec, profile, exact)
+    def counted(spec, lists):
+        builds.append(spec)
+        return build(spec, lists)
 
-    monkeypatch.setattr(partition_game, "_arrival_patterns", counted)
+    monkeypatch.setattr(partition_game, "_build_payoff_arrays", counted)
     spec = _three_supplier_spec(exact)
     assert spec.symmetric is not exact
     profiles = _all_profiles(spec)
     assert len(profiles) == 10
+    # read once by sweeping the profile, before any exhaustive request
+    before = expected_payoff(spec, profiles[3], "h2")
+    assert builds == []
     for h in spec.suppliers:
         assert check_dominance(spec, h).holds
     assert spec.coarse_profile() in find_nash(spec)
@@ -400,23 +407,48 @@ def test_each_profile_is_swept_once(monkeypatch, exact):
                 assert isinstance(value, Fraction) and value == want
             else:
                 assert isinstance(value, float) and close(value, want)
-    assert len(sweeps) == len(profiles)
-    assert set(sweeps) == set(profiles)
+    assert builds == [spec]
+    after = expected_payoff(spec, profiles[3], "h2")
+    assert after == before if exact else close(after, before)
 
 
-def test_payoff_memo_stays_with_its_spec():
+def test_payoff_arrays_stay_with_their_spec():
     spec = _three_supplier_spec(exact=True)
-    find_nash(spec)
     fresh = _three_supplier_spec(exact=True)
-    assert spec == fresh and hash(spec) == hash(fresh)
+    find_nash(spec)
+    assert spec._payoff_arrays is not None and fresh._payoff_arrays is None
+    assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
+    assert "_payoff_arrays" not in repr(spec)
     kappa = {"h1": F(5, 2), "h2": F(1, 3), "h3": 7}
     scaled = scaled_spec(spec, kappa)
+    assert scaled._payoff_arrays is None
     for profile in _all_profiles(spec):
         for h in spec.suppliers:
             assert expected_payoff(scaled, profile, h) == kappa[h] * expected_payoff(
                 spec, profile, h
             )
     assert scaled != spec
+
+
+def test_exact_four_by_four_game_is_analyzed_exhaustively():
+    # 15**4 = 50,625 profiles: past any per-profile sweep, within the arrays.
+    rng = random.Random(44)
+    g = GroundSet(["h1", "h2", "h3", "h4"])
+    ks = ["a", "b", "c", "d"]
+    payoffs = {k: random_increasing(rng, g, 6, exact=True, strict=True) for k in ks}
+    p = CoinVector(g, (F(1, 3), F(3, 4), F(2, 5), F(1, 2)))
+    spec = GameSpec.build(ks, g.labels, {h: ks for h in g.labels}, p, payoffs)
+    profiles = list(itertools.product(*map(spec.strategies, spec.suppliers)))
+    assert len(profiles) == 50_625
+    for h in spec.suppliers:
+        assert check_dominance(spec, h).holds
+    assert spec.coarse_profile() in find_nash(spec)
+    for combo in rng.sample(profiles, 50):
+        profile = StrategyProfile(combo)
+        want = _oracle_payoff(spec, profile, "h1")
+        for h in spec.suppliers:
+            value = expected_payoff(spec, profile, h)
+            assert isinstance(value, Fraction) and value == want
 
 
 def _eight_commodity_spec(exact, owned):
@@ -552,6 +584,56 @@ def test_conditional_matches_oracle():
         got = conditional_payoffs(spec, profile, h, 0, 1, conditioning)
         assert got == want
         checked += 1
+
+
+def test_batched_conditional_rows_match_the_scalar_comparison():
+    # Every row of the batch: its arrival bits run through itertools.product
+    # order, and its factors, separate and merged payoffs and merging gain
+    # p(1-p)(a1-a0)(b1-b0)c equal the scalar functions' at that conditioning
+    # (float rows too: they repeat the scalar order of operations).  Exact
+    # and float specs alternate, and so do random and finest profiles.
+    rng = random.Random(93)
+    specs = 0
+    while specs < 20:
+        spec = random_game_spec(rng)
+        profile = spec.finest_profile() if specs % 4 >= 2 else random_profile(rng, spec)
+        sizes = [len(s.blocks) for s in profile.strategies]
+        if max(sizes) < 2:
+            continue
+        specs += 1
+        if specs % 2:
+            spec = _float_spec(spec)
+        for hi, h in enumerate(spec.suppliers):
+            ph = spec.p.p[hi]
+            first = sum(sizes[:hi])
+            for i, j in itertools.combinations(range(sizes[hi]), 2):
+                arrived, factors, scales = conditional_block_rows(spec, profile, h, i, j)
+                sep, merged, gain, scale = cli._merging_rows(ph, factors, scales)
+                exact = sep.dtype == object
+                assert exact is (specs % 2 == 0)
+                free = [c for c in range(sum(sizes)) if c not in (first + i, first + j)]
+                assert not arrived[:, [first + i, first + j]].any()
+                assert arrived[:, free].tolist() == [
+                    list(bits) for bits in itertools.product((False, True), repeat=len(free))
+                ]
+                for row, bits in enumerate(arrived.tolist()):
+                    conditioning = {
+                        g: bits[sum(sizes[:gi]) : sum(sizes[: gi + 1])]
+                        for gi, g in enumerate(spec.suppliers)
+                    }
+                    conditioning[h][i] = conditioning[h][j] = None
+                    want = conditional_payoffs(spec, profile, h, i, j, conditioning)
+                    a0, a1, b0, b1, c = conditional_block_factors(
+                        spec, profile, h, i, j, conditioning
+                    )
+                    want += (a0, a1, b0, b1, c, ph * (1 - ph) * (a1 - a0) * (b1 - b0) * c)
+                    got = [
+                        Fraction(x[row], sc) if exact else float(x[row])
+                        for x, sc in zip(
+                            (sep, merged) + factors + (gain,), (scale, scale) + scales + (scale,)
+                        )
+                    ]
+                    assert got == list(want)
 
 
 def test_conditional_validation():
