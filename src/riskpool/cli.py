@@ -455,6 +455,9 @@ def _game_spec(cfg: Mapping, mode: str, limit: int | None) -> GameSpec:
     supply = cfg.get("supply")
     if not isinstance(supply, dict):
         raise ConfigError("supply: expected an object mapping supplier to commodities")
+    for h, owned in supply.items():
+        if not isinstance(owned, list) or not all(isinstance(k, str) for k in owned):
+            raise ConfigError(f"supply.{h}: expected a list of commodity names")
     payoffs_obj = cfg.get("payoffs")
     if not isinstance(payoffs_obj, dict):
         raise ConfigError("payoffs: expected an object keyed by commodity")
@@ -481,6 +484,11 @@ def _game_profile(cfg: Mapping, spec: GameSpec, field: str = "profile") -> Strat
         return None
     if not isinstance(obj, dict):
         raise ConfigError(f"{field}: expected an object mapping supplier to block lists")
+    for h, blocks in obj.items():
+        if not isinstance(blocks, list) or not all(
+            isinstance(b, list) and all(isinstance(k, str) for k in b) for b in blocks
+        ):
+            raise ConfigError(f"{field}.{h}: expected a list of blocks of commodity names")
     try:
         return spec.profile(obj)
     except (ValueError, KeyError) as exc:

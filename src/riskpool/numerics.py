@@ -114,7 +114,10 @@ def power(base: Value, expo: Value) -> Value:
             return base ** expo
         if isinstance(expo, Fraction) and expo.denominator == 1:
             return base ** expo.numerator
-    return float(base) ** float(expo)
+    try:
+        return float(base) ** float(expo)
+    except OverflowError:
+        raise ValueError(f"{base!r} ** {expo!r} overflows a float") from None
 
 
 def parse_value(raw: object) -> Value:

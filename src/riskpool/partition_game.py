@@ -8,13 +8,15 @@ increasing functions of the success tuple, which is what makes the single
 all-in shipment (the coarse partition) a dominant strategy for everyone.
 
 A player's payoff is multilinear in the suppliers' independent arrival
-laws, so exhaustive analysis contracts one payoff tensor per player over
-every commodity-arrival vector with each supplier's matrix of strategy laws;
-a single profile's payoffs come from one pass over its block-arrival
-patterns instead.  Both are exact in rational mode and float64 otherwise;
-anything beyond the stated caps is an error rather than a silent
-approximation.  Sampling belongs to the montecarlo module, which maps
-sampled arrivals to success tuples with the same _success_masks.
+laws, so it is one contraction of the player's payoff products over
+arrival patterns with one strategy law per supplier.  Exhaustive analysis
+takes the patterns of the finest profile and each supplier's matrix of
+strategy laws, giving every profile at once; a single profile takes its
+own blocks' patterns, slice by slice, and one law per supplier.  Both are
+exact in rational mode and float64 otherwise; anything beyond the stated
+caps is an error rather than a silent approximation.  Sampling belongs to
+the montecarlo module, which maps sampled arrivals to success tuples with
+the same _success_masks.
 """
 
 from __future__ import annotations
@@ -308,44 +310,23 @@ def _arrival_rows(rows: np.ndarray, width: int) -> np.ndarray:
     return (rows[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(bool)
 
 
-def _arrival_patterns(
-    spec: GameSpec, profile: StrategyProfile, exact: bool
-) -> tuple[Iterator[tuple[np.ndarray, np.ndarray]], int]:
-    """All 2**blocks block-arrival patterns with their weights, and the weights' scale.
+def _pattern_masks(
+    spec: GameSpec, base: StrategyProfile
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """All 2**blocks block-arrival patterns of base with their success masks.
 
     Blocks are numbered supplier by supplier, and pattern r has block j
-    arrived iff bit blocks-1-j of r is set: itertools.product order.  Slices
-    of at most _SLICE_ROWS patterns come as (boolean rows x blocks arrival
-    matrix, weights).  A weight is the product over each supplier's blocks of
-    p or 1 - p, then over suppliers; exact weights are integers over the
-    returned scale, the product of den**blocks per supplier, float weights
-    have scale 1.  Patterns of weight zero stay in.
+    arrived iff bit blocks-1-j of r is set: itertools.product order.  The
+    profile is checked at once; then slices of at most _SLICE_ROWS patterns
+    come as (pattern numbers, _success_masks of their arrival rows).
     """
-    _validate_profile(spec, profile)
-    low = total = sum(len(s.blocks) for s in profile.strategies)
+    _validate_profile(spec, base)
+    total = sum(len(s.blocks) for s in base.strategies)
     if total > MAX_TOTAL_BLOCKS:
         raise ValueError(f"exact enumeration is limited to {MAX_TOTAL_BLOCKS} shipment blocks")
-    denom = 1
-    laws = []  # per supplier: its own patterns' weights and where its bits sit
-    for ph, strat in zip(spec.p.p, profile.strategies):
-        nb = len(strat.blocks)
-        win, den = (ph.numerator, ph.denominator) if exact else (float(ph), 1)
-        denom *= den ** nb
-        law = np.ones(1, dtype=object if exact else float)
-        for _ in range(nb):
-            law = np.multiply.outer(law, np.array([den - win, win], dtype=law.dtype)).ravel()
-        low -= nb
-        laws.append((law, low, (1 << nb) - 1))
-
-    def slices() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for start in range(0, 1 << total, _SLICE_ROWS):
-            r = np.arange(start, min(1 << total, start + _SLICE_ROWS))
-            weights = 1
-            for law, low, mask in laws:
-                weights = weights * law[(r >> low) & mask]
-            yield _arrival_rows(r, total), weights
-
-    return slices(), denom
+    starts = range(0, 1 << total, _SLICE_ROWS)
+    rows = (np.arange(start, min(1 << total, start + _SLICE_ROWS)) for start in starts)
+    return ((r, _success_masks(spec, base, _arrival_rows(r, total))) for r in rows)
 
 
 def _success_masks(spec: GameSpec, profile: StrategyProfile, arrived: np.ndarray) -> np.ndarray:
@@ -391,55 +372,25 @@ def _spec_exact(spec: GameSpec) -> bool:
     return spec.p.exact and all(f.exact for row in spec.payoffs for f in row)
 
 
-def _payoffs_for(spec: GameSpec, profile: StrategyProfile) -> tuple[Value, ...]:
-    """Expected payoff of every supplier in one pass over the arrival patterns.
-
-    Exact mode multiplies integer weights by denominator-cleared tables and
-    divides once by the pattern and table scales; float mode sums each
-    slice with fsum and then the slice sums.
-    """
-    exact = _spec_exact(spec)
-    patterns, denom = _arrival_patterns(spec, profile, exact)
-    players = len(spec.suppliers)
-    # One table set per distinct payoff: a symmetric game shares the first.
-    owners = range(1 if spec.symmetric else players)
-    tables: list[list[np.ndarray]] = []
-    scales: list[int] = []
-    for hi in owners:
-        arrays, lcms = _table_arrays(spec, hi, exact)
-        tables.append(arrays)
-        scales.append(denom * math.prod(lcms))
-    sums: list[list[Value]] = [[] for _ in tables]
-    for arrived, weights in patterns:
-        masks = _success_masks(spec, profile, arrived)
-        for part, tabs in zip(sums, tables):
-            terms = _table_product(tabs, masks, weights)
-            part.append(terms.sum() if exact else math.fsum(terms.tolist()))
-    if exact:
-        values = [Fraction(sum(part), scale) for part, scale in zip(sums, scales)]
-    else:
-        values = [math.fsum(part) for part in sums]
-    return tuple(values * players if spec.symmetric else values)
-
-
 def _strategy_law(
-    strat: PartitionStrategy, owned: Sequence[str], ph: Value, exact: bool
+    strat: PartitionStrategy, base: PartitionStrategy, ph: Value, exact: bool
 ) -> np.ndarray:
-    """Law of a supplier's commodity-arrival vector under strat.
+    """Law of a supplier's block-arrival vector over the blocks of base
+    under strat, whose every block is a union of base's blocks.
 
-    Entry x covers the 2**len(owned) vectors, bit len(owned)-1-c of x
-    marking owned[c] as arrived.  Each block arrives whole with probability
-    ph or not at all, so the law vanishes on vectors that split a block.
-    Exact laws are integers over den**len(owned), float laws have scale 1.
+    Entry x covers the 2**n vectors, n = len(base.blocks), bit n-1-c of x
+    marking base.blocks[c] as arrived.  Each block of strat arrives whole
+    with probability ph or not at all, so the law vanishes on vectors that
+    split one.  Exact laws are integers over den**n, float laws have scale 1.
     """
     win, den = (ph.numerator, ph.denominator) if exact else (float(ph), 1)
-    n = len(owned)
+    n = len(base.blocks)
     x = np.arange(1 << n)
-    pos = {k: n - 1 - c for c, k in enumerate(owned)}
+    pos = {k: n - 1 - c for c, block in enumerate(base.blocks) for k in block}
     choices = np.array([den - win, win, 0], dtype=object if exact else float)
     law = np.full(1 << n, den ** (n - len(strat.blocks)), dtype=choices.dtype)
     for block in strat.blocks:
-        bits = sum(1 << pos[k] for k in block)
+        bits = sum({1 << pos[k] for k in block})
         hit = x & bits
         law = law * choices[np.where(hit == bits, 1, np.where(hit == 0, 0, 2))]
     return law
@@ -452,26 +403,20 @@ def _build_payoff_arrays(
 
     Player h's tensor T_h[x_1, ..., x_H] = prod over k of F_k^h(S_k(x))
     runs over the commodity-arrival vector x_g of every supplier (the
-    finest profile's arrival patterns, mapped by _success_masks).
-    Contracting its axis g with the matrix of supplier g's strategy laws,
-    one tensordot per axis, leaves the payoff of every profile in
-    itertools.product order.  Exact mode contracts denominator-cleared
-    integers and divides once; a symmetric game builds one array.  There
-    are 2**(sum of supply sizes) cells, and MAX_PROFILES already bounds that
-    sum at 21.
+    finest profile's arrival patterns and masks).  Contracting its axis g
+    with the matrix of supplier g's strategy laws, one tensordot per axis,
+    leaves the payoff of every profile in itertools.product order.  Exact
+    mode contracts denominator-cleared integers and divides once; a
+    symmetric game builds one array.  There are 2**(sum of supply sizes)
+    cells, and MAX_PROFILES already bounds that sum at 21.
     """
     exact = _spec_exact(spec)
-    laws, denom = [], 1
-    for ph, owned, lst in zip(spec.p.p, spec.supply, lists):
-        laws.append(np.array([_strategy_law(s, owned, ph, exact) for s in lst]))
-        denom *= (ph.denominator if exact else 1) ** len(owned)
-    total = sum(len(owned) for owned in spec.supply)
     finest = spec.finest_profile()
-    rows = np.arange(1 << total)
-    masks = np.concatenate([
-        _success_masks(spec, finest, _arrival_rows(rows[start : start + _SLICE_ROWS], total))
-        for start in range(0, len(rows), _SLICE_ROWS)
-    ])
+    laws, denom = [], 1
+    for ph, base, lst in zip(spec.p.p, finest.strategies, lists):
+        laws.append(np.array([_strategy_law(s, base, ph, exact) for s in lst]))
+        denom *= (ph.denominator if exact else 1) ** len(base.blocks)
+    masks = np.concatenate([m for _, m in _pattern_masks(spec, finest)])
     arrays = []
     for hi in range(1 if spec.symmetric else len(spec.suppliers)):
         tables, lcms = _table_arrays(spec, hi, exact)
@@ -491,9 +436,12 @@ def expected_payoff(spec: GameSpec, profile: StrategyProfile, h: str) -> Value:
     """E[prod over k of F_k^h(S_k)] under the profile's shipment coins.
 
     Once an exhaustive request has built the spec's payoff arrays, this
-    reads one of their cells; before that, or for a profile whose
-    strategies are not spelled as spec.strategies spells them, it sweeps
-    the profile's arrival patterns.
+    reads one of their cells.  Before that, or for a profile whose
+    strategies are not spelled as spec.strategies spells them, it computes
+    h's payoff alone: the same contraction with one law per supplier over
+    its own blocks, one slice of the profile's arrival patterns at a time.
+    Exact mode sums integer weights times denominator-cleared tables and
+    divides once; float mode sums each slice with fsum, then the slices.
     """
     hi = spec.h_index(h)
     if spec._payoff_arrays is not None:
@@ -504,7 +452,24 @@ def expected_payoff(spec: GameSpec, profile: StrategyProfile, h: str) -> Value:
             pass
         else:
             return arrays[hi].item(cell)
-    return _payoffs_for(spec, profile)[hi]
+    exact = _spec_exact(spec)
+    patterns = _pattern_masks(spec, profile)
+    tables, scales = _table_arrays(spec, hi, exact)  # then one scale per law
+    low = sum(len(s.blocks) for s in profile.strategies)
+    laws = []  # per supplier: its law, where its bits sit, and their mask
+    for ph, strat in zip(spec.p.p, profile.strategies):
+        nb = len(strat.blocks)
+        low -= nb
+        laws.append((_strategy_law(strat, strat, ph, exact), low, (1 << nb) - 1))
+        scales.append((ph.denominator if exact else 1) ** nb)
+    parts = []
+    for r, masks in patterns:
+        weights = 1
+        for law, low, mask in laws:
+            weights = weights * law[(r >> low) & mask]
+        terms = _table_product(tables, masks, weights)
+        parts.append(terms.sum() if exact else math.fsum(terms.tolist()))
+    return Fraction(sum(parts), math.prod(scales)) if exact else math.fsum(parts)
 
 
 def _block_pair(

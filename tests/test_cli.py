@@ -1,18 +1,21 @@
 """End-to-end CLI behavior: exit codes, report schemas, determinism, and
 round-trips between reports and the library."""
 
+import copy
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from riskpool import cli
 from riskpool.cli import main
 from riskpool.convolution import convolve
 from riskpool.lattice import CoinVector, GroundSet, SetFunction
-from riskpool.numerics import parse_value
+from riskpool.numerics import parse_value, power
 from riskpool.partition_game import DominanceCertificate, GameSpec
 
 CONV_CONFIG = {
@@ -22,6 +25,34 @@ CONV_CONFIG = {
     "p": {"a": "1/2", "b": "1/4"},
     "f": {"table": {"": 0, "a": 1, "b": 1, "a,b": 3}},
     "g": {"table": {"": 2, "a": 5, "b": 2, "a,b": 5}},
+}
+
+PRODUCTION_CONFIG = {
+    "kind": "production",
+    "suppliers": ["1"],
+    "p": {"1": 0.5},
+    "x": {"1": 4},
+    "y": {"1": 9},
+    "alpha": 0.5,
+    "beta": 0.5,
+}
+
+MILITARY_CONFIG = {
+    "kind": "military",
+    "mode": "exact",
+    "sites": ["t"],
+    "p": {"t": "1/2"},
+    "red": {"seeds": [["t"]]},
+    "blue": {"members": [["t"]]},
+}
+
+MERGER_CONFIG = {
+    "kind": "merger",
+    "mode": "exact",
+    "shareholders": ["u", "v"],
+    "p": {"u": "1/2", "v": "1/2"},
+    "a": {"table": {"": 0, "u": 1, "v": 1, "u,v": 1}},
+    "b": {"weights": {"u": 1, "v": 1}, "quota": 1},
 }
 
 GAME_CONFIG = {
@@ -122,19 +153,7 @@ def test_max_ground_enforced(tmp_path, capsys):
 
 
 def test_production_scenario_pinned_values(tmp_path, capsys):
-    cfg = _write(
-        tmp_path,
-        "prod.json",
-        {
-            "kind": "production",
-            "suppliers": ["1"],
-            "p": {"1": 0.5},
-            "x": {"1": 4},
-            "y": {"1": 9},
-            "alpha": 0.5,
-            "beta": 0.5,
-        },
-    )
+    cfg = _write(tmp_path, "prod.json", PRODUCTION_CONFIG)
     code, out, _ = _run(capsys, ["scenario", "--config", cfg])
     assert code == 0
     report = json.loads(out)
@@ -145,18 +164,7 @@ def test_production_scenario_pinned_values(tmp_path, capsys):
 
 
 def test_military_scenario_report(tmp_path, capsys):
-    cfg = _write(
-        tmp_path,
-        "mil.json",
-        {
-            "kind": "military",
-            "mode": "exact",
-            "sites": ["t"],
-            "p": {"t": "1/2"},
-            "red": {"seeds": [["t"]]},
-            "blue": {"members": [["t"]]},
-        },
-    )
+    cfg = _write(tmp_path, "mil.json", MILITARY_CONFIG)
     code, out, _ = _run(capsys, ["scenario", "--config", cfg])
     assert code == 0
     report = json.loads(out)
@@ -167,18 +175,7 @@ def test_military_scenario_report(tmp_path, capsys):
 
 
 def test_merger_scenario_report(tmp_path, capsys):
-    cfg = _write(
-        tmp_path,
-        "merge.json",
-        {
-            "kind": "merger",
-            "mode": "exact",
-            "shareholders": ["u", "v"],
-            "p": {"u": "1/2", "v": "1/2"},
-            "a": {"table": {"": 0, "u": 1, "v": 1, "u,v": 1}},
-            "b": {"weights": {"u": 1, "v": 1}, "quota": 1},
-        },
-    )
+    cfg = _write(tmp_path, "merge.json", MERGER_CONFIG)
     code, out, _ = _run(capsys, ["scenario", "--config", cfg])
     assert code == 0
     report = json.loads(out)
@@ -545,6 +542,102 @@ def test_config_error_paths(tmp_path, capsys):
     notjson.write_text("{nope")
     assert main(["convolve", "--config", str(notjson)]) == 2
     capsys.readouterr()
+
+
+# GAME_CONFIG with one-letter commodities, so that a string is also a list of names
+LETTER_GAME_CONFIG = json.loads(
+    json.dumps(GAME_CONFIG).replace('"oil"', '"a"').replace('"gas"', '"b"')
+)
+
+
+@pytest.mark.parametrize(
+    "field, entry",
+    [
+        ("supply", 5),
+        ("supply", [["a"]]),
+        ("supply", "ab"),
+        ("profile", 3),
+        ("profile", [None]),
+        ("profile", ["ab"]),
+        ("profile", "ab"),
+    ],
+)
+def test_game_config_shapes_are_checked(tmp_path, capsys, field, entry):
+    cfg = dict(LETTER_GAME_CONFIG)
+    cfg[field] = dict(cfg[field], h1=entry)
+    path = _write(tmp_path, "c.json", cfg)
+    for command in (["game", "analyze"], ["game", "simulate", "--samples", "50"]):
+        code, out, err = _run(capsys, [*command, "--config", path])
+        assert code == 2
+        assert out == ""
+        assert f"{field}.h1" in err
+
+
+@pytest.mark.parametrize("change", [{"alpha": 1000.0}, {"x": {"1": 1e300}, "alpha": 2}])
+def test_float_power_overflow_is_a_config_error(tmp_path, capsys, change):
+    with pytest.raises(ValueError, match="overflows"):
+        power(4.0, 1000.0)
+    cfg = _write(tmp_path, "prod.json", dict(PRODUCTION_CONFIG, **change))
+    code, out, err = _run(capsys, ["scenario", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "overflows a float" in err
+
+
+FUZZ_EXAMPLES = [
+    (["convolve"], CONV_CONFIG),
+    (["scenario"], PRODUCTION_CONFIG),
+    (["scenario"], MILITARY_CONFIG),
+    (["scenario"], MERGER_CONFIG),
+    (["game", "analyze"], GAME_CONFIG),
+    (["game", "simulate", "--samples", "50"], GAME_CONFIG),
+]
+
+_FUZZ_NAMES = st.sampled_from(["", "a", "ab", "1/2", "x"])
+FUZZ_VALUES = st.recursive(
+    st.sampled_from([None, True, 0, 1, -1, 2.5, 1000.0, 1e308, -1e308]) | _FUZZ_NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_FUZZ_NAMES, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _nodes(obj, path=()):
+    """The path of every node of a JSON value, the root first."""
+    yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    out = copy.copy(obj)
+    out[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return out
+
+
+FUZZ_SITES = [(argv, cfg, path) for argv, cfg in FUZZ_EXAMPLES for path in _nodes(cfg)]
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(site=st.sampled_from(FUZZ_SITES), value=FUZZ_VALUES)
+def test_any_one_node_changed_gives_a_report_or_a_config_error(tmp_path, capsys, site, value):
+    argv, cfg, path = site
+    bad = _write(tmp_path, "fuzz.json", _replaced(cfg, path, value))
+    code = main([*argv, "--config", bad])
+    capsys.readouterr()
+    assert code in (0, 2)
 
 
 def test_usage_errors_exit_two():

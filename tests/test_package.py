@@ -2,6 +2,7 @@
 runtime dependencies."""
 
 import ast
+import json
 import os
 import pathlib
 import re
@@ -9,6 +10,7 @@ import subprocess
 import sys
 
 import riskpool
+from riskpool.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "riskpool"
@@ -57,15 +59,15 @@ def test_public_names_are_used_by_the_package():
     assert unused == []
 
 
-def _readme_blocks() -> list[str]:
+def _readme_blocks(language: str) -> list[str]:
     text = (ROOT / "README.md").read_text()
-    return re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    return re.findall(rf"^```{language}\n(.*?)^```", text, re.S | re.M)
 
 
 def test_readme_examples_run():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     outputs = []
-    for block in _readme_blocks():
+    for block in _readme_blocks("python"):
         run = subprocess.run(
             [sys.executable, "-c", block], capture_output=True, text=True, env=env, timeout=120
         )
@@ -76,6 +78,18 @@ def test_readme_examples_run():
     # the all-coarse profile is among the printed equilibria
     coarse = "[('h1', (('oil', 'gas'),)), ('h2', (('oil',),))]"
     assert coarse in outputs[1].splitlines()
+
+
+def test_readme_configs_run(tmp_path, capsys):
+    commands = {"convolution": ["convolve"], "game": ["game", "analyze"]}
+    blocks = _readme_blocks("json")
+    assert len(blocks) == 2
+    for idx, block in enumerate(blocks):
+        path = tmp_path / f"readme{idx}.json"
+        path.write_text(block)
+        command = commands.get(json.loads(block)["kind"], ["scenario"])
+        assert main([*command, "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
 
 def test_runtime_imports_are_stdlib_or_numpy():

@@ -469,7 +469,7 @@ def _eight_commodity_spec(exact, owned):
 
 
 @pytest.mark.parametrize("exact, owned", [(False, (8, 8, 6)), (True, (6, 6, 4))])
-def test_finest_profile_payoff_factorizes_up_to_the_block_cap(exact, owned):
+def test_finest_profile_payoff_factorizes_up_to_the_block_cap(monkeypatch, exact, owned):
     # Under the finest profile every commodity ships alone, so the success
     # sets of different commodities are independent and the payoff is the
     # product over k of E[F_k], with coin 0 for a supplier that does not own k.
@@ -477,16 +477,36 @@ def test_finest_profile_payoff_factorizes_up_to_the_block_cap(exact, owned):
     profile = spec.finest_profile()
     assert sum(len(s.blocks) for s in profile.strategies) == sum(owned)
     assert exact or sum(owned) == MAX_TOTAL_BLOCKS
-    for h in spec.suppliers:
+    # Without payoff arrays, a read takes only the asked player's tables
+    # and holds at most one slice of arrival patterns at a time.
+    rows, table_reads = [], []
+    product, arrays = partition_game._table_product, partition_game._table_arrays
+
+    def spy_product(tables, masks, weights):
+        rows.append(len(masks))
+        return product(tables, masks, weights)
+
+    def spy_arrays(spec, hi, exact):
+        table_reads.append(hi)
+        return arrays(spec, hi, exact)
+
+    monkeypatch.setattr(partition_game, "_table_product", spy_product)
+    monkeypatch.setattr(partition_game, "_table_arrays", spy_arrays)
+    assert not spec.symmetric
+    for hi, h in enumerate(spec.suppliers):
         want = 1
         for k in spec.commodities:
             coins = tuple(x if k in own else 0 for x, own in zip(spec.p.p, spec.supply))
             want *= expectation(spec.payoff_fn(k, h), CoinVector(spec.p.ground, coins))
+        table_reads.clear()
         value = expected_payoff(spec, profile, h)
+        assert table_reads == [hi]
         if exact:
             assert isinstance(value, Fraction) and value == want
         else:
             assert isinstance(value, float) and close(value, want)
+    assert spec._payoff_arrays is None
+    assert rows and max(rows) <= partition_game._SLICE_ROWS
 
 
 def test_profile_over_the_block_cap_is_refused():
