@@ -112,7 +112,10 @@ def _value(raw: object, mode: str, path: str) -> Value:
                 'use an integer or a rational string like "3/4"'
             )
         return v
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigError(f"{path}: value beyond float range in float mode") from None
 
 
 def _names(cfg: Mapping, field: str, reserved: Sequence[str] = ()) -> list[str]:

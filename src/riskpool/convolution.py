@@ -34,7 +34,9 @@ from .lattice import (
     CoinVector,
     GroundSet,
     SetFunction,
+    _halves,
     _subset_weights,
+    _zeta,
     expectation,
     submasks,
 )
@@ -60,8 +62,7 @@ def _coupled_sum(
     # Overwrites fa and ga.
     for a in (fa, ga):
         for i, (s, c, _, _) in enumerate(coins):
-            v = a.reshape(-1, 2, 1 << i)
-            lo, hi = v[:, 0, :], v[:, 1, :]
+            lo, hi = _halves(a, i)
             hi -= lo
             lo *= s
             lo += c * hi
@@ -71,10 +72,7 @@ def _coupled_sum(
         w = np.concatenate([w * w_out, w * w_in])
     out = fa * ga
     out *= w
-    for i in range(len(coins)):
-        v = out.reshape(-1, 2, 1 << i)
-        v[:, 1, :] += v[:, 0, :]
-    return out
+    return _zeta(out, len(coins))
 
 
 def convolve(f: SetFunction, g: SetFunction, p: CoinVector) -> SetFunction:

@@ -2,9 +2,11 @@
 
 Subsets of a finite ground set are plain int bitmasks: element i of the
 ground set's label tuple corresponds to bit i.  Functions on the power set
-are dense tables of length 2**n indexed by mask.  On top of that sit the
-product measure driven by one coin per element, monotonicity checks,
-up-closed families, and generators of increasing functions.
+are dense tables of length 2**n indexed by mask, and every walk over the
+covering pairs (S, S + {i}) is one strided numpy pass per element i.  On
+top of that sit the product measure driven by one coin per element,
+monotonicity checks, up-closed families, and generators of increasing
+functions.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .numerics import ABS_TOL, REL_TOL, Value, all_exact, stable_sum
+from .numerics import Value, all_exact, clear_denominators, geq_array, stable_sum
 
 MAX_GROUND = 20
 
@@ -177,43 +179,44 @@ class SetFunction:
         return self.map(lambda v: -v)
 
 
-def _covering_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """Every covering pair (S, S + {i}) of the n-element lattice, element by
-    element, with S ascending within each element."""
-    size = 1 << n
+def _halves(a: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a flat table's entries without element i (lo) and with it
+    (hi): lo[k] and hi[k] form the covering pair (S, S + {i})."""
+    v = a.reshape(-1, 2, 1 << i)
+    return v[:, 0], v[:, 1]
+
+
+def _zeta(a: np.ndarray, n: int) -> np.ndarray:
+    """In place: a[S] becomes the sum of a[T] over T <= S, element by element."""
     for i in range(n):
-        bit = 1 << i
-        for base in range(0, size, bit << 1):
-            for mask in range(base, base + bit):
-                yield mask, mask | bit
+        lo, hi = _halves(a, i)
+        hi += lo
+    return a
+
+
+def _steps_hold(a: np.ndarray, n: int, holds: Callable) -> bool:
+    """True when holds(lo, hi) is true on every covering pair of the table."""
+    for i in range(n):
+        if not holds(*_halves(a, i)).all():
+            return False
+    return True
 
 
 def _is_monotone(f: SetFunction, increasing: bool) -> bool:
-    # All-exact tables compare exactly, pair by pair.  Any other table is
-    # compared in float64 with the slack of `numerics.geq`, one strided
-    # numpy pass per element.
-    vals = f.values
-    n = f.ground.n
-    if all_exact(vals):
-        if increasing:
-            return all(vals[hi] >= vals[lo] for lo, hi in _covering_pairs(n))
-        return all(vals[lo] >= vals[hi] for lo, hi in _covering_pairs(n))
-    table = np.array(vals, dtype=float)
-    for i in range(n):
-        v = table.reshape(-1, 2, 1 << i)
-        lo, hi = v[:, 0, :], v[:, 1, :]
-        step = hi - lo if increasing else lo - hi
-        slack = np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(hi), np.abs(lo)))
-        if not np.all(step >= -slack):
-            return False
-    return True
+    if f.exact:
+        table = np.array(clear_denominators(f.values)[0], dtype=object)
+    else:
+        table = np.array(f.values, dtype=float)
+    holds = (lambda lo, hi: geq_array(hi, lo)) if increasing else geq_array
+    return _steps_hold(table, f.ground.n, holds)
 
 
 def is_increasing(f: SetFunction) -> bool:
     """True when f(S) <= f(T) for every S <= T (checked on covering pairs).
 
-    Exact when every entry is exact; a table holding any float is compared
-    in float64 within the `numerics.geq` slack.
+    Exact when every entry is exact: the table is cleared of denominators
+    and compared as integers.  A table holding any float is compared in
+    float64 within the `numerics.geq` slack.
     """
     return _is_monotone(f, True)
 
@@ -234,8 +237,7 @@ class MonotoneFamily:
         object.__setattr__(self, "member", tuple(bool(b) for b in member))
         if len(self.member) != 1 << ground.n:
             raise ValueError("membership table must have one entry per subset")
-        member = self.member
-        if any(member[lo] and not member[hi] for lo, hi in _covering_pairs(ground.n)):
+        if not _steps_hold(np.array(self.member), ground.n, np.less_equal):
             raise ValueError("family is not up-closed")
 
     def __contains__(self, mask: int) -> bool:
@@ -250,13 +252,13 @@ class MonotoneFamily:
 
 def up_closure(ground: GroundSet, seeds: Iterable[int]) -> MonotoneFamily:
     """Smallest up-closed family containing the given seed subsets."""
-    member = bytearray(1 << ground.n)
+    member = np.zeros(1 << ground.n, dtype=bool)
     for s in seeds:
-        member[ground.check_mask(s)] = 1
-    for lo, hi in _covering_pairs(ground.n):
-        if member[lo]:
-            member[hi] = 1
-    return MonotoneFamily(ground, member)
+        member[ground.check_mask(s)] = True
+    for i in range(ground.n):
+        lo, hi = _halves(member, i)
+        hi |= lo
+    return MonotoneFamily(ground, member.tolist())
 
 
 def product_measure_table(p: CoinVector) -> list[Value]:
@@ -296,12 +298,10 @@ def _subset_weights(p: CoinVector, mask: int) -> dict[int, Value]:
 
 def from_moebius_weights(ground: GroundSet, weights: Mapping[int, Value]) -> SetFunction:
     """f(S) = sum of w(T) over T <= S, via an in-place zeta transform."""
-    tab: list[Value] = [0] * (1 << ground.n)
+    tab = np.zeros(1 << ground.n, dtype=object)
     for mask, w in weights.items():
         tab[ground.check_mask(mask)] = tab[mask] + w
-    for lo, hi in _covering_pairs(ground.n):
-        tab[hi] = tab[hi] + tab[lo]
-    return SetFunction(ground, tab)
+    return SetFunction(ground, _zeta(tab, ground.n).tolist())
 
 
 def random_increasing(
@@ -348,11 +348,10 @@ def all_monotone_indicators(ground: GroundSet) -> list[SetFunction]:
     ground set is capped at 4 elements."""
     if ground.n > 4:
         raise ValueError("exhaustive monotone enumeration is limited to 4 elements")
-    size = 1 << ground.n
-    pairs = list(_covering_pairs(ground.n))
-    out: list[SetFunction] = []
-    for code in range(1 << size):
-        vals = [code >> m & 1 for m in range(size)]
-        if all(vals[lo] <= vals[hi] for lo, hi in pairs):
-            out.append(SetFunction(ground, vals))
-    return out
+    # A table, coded as the bits of an int, is increasing iff its halves
+    # without and with the top element are increasing and lo <= hi.  Taking
+    # hi in the outer loop keeps the codes ascending.
+    codes = [0, 1]
+    for i in range(ground.n):
+        codes = [lo | hi << (1 << i) for hi in codes for lo in codes if lo & ~hi == 0]
+    return [SetFunction(ground, [code >> m & 1 for m in ground.subsets()]) for code in codes]

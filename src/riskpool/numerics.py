@@ -20,6 +20,11 @@ Value = Union[int, float, Fraction]
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
+# An exact power stays within CPython's default limit of 4,300 digits on
+# converting an int to a decimal string, so every exact result can be
+# printed: floor(4300 * log2(10)) bits.
+_POWER_BITS = 14284
+
 
 def is_exact(x: Value) -> bool:
     """True for values supporting exact comparison (int or Fraction)."""
@@ -101,7 +106,8 @@ def power(base: Value, expo: Value) -> Value:
     """base**expo with the convention 0**a := 0 for a > 0.
 
     Stays exact when both operands are rational and the exponent is an
-    integer; otherwise falls back to float arithmetic.
+    integer; otherwise falls back to float arithmetic.  Raises ValueError,
+    before computing, when an exact result might pass 4,300 digits.
     """
     if base == 0:
         if expo > 0:
@@ -109,11 +115,15 @@ def power(base: Value, expo: Value) -> Value:
         if expo == 0:
             return 1
         raise ZeroDivisionError("0 cannot be raised to a negative power")
-    if is_exact(base):
-        if isinstance(expo, int):
-            return base ** expo
-        if isinstance(expo, Fraction) and expo.denominator == 1:
-            return base ** expo.numerator
+    if is_exact(base) and isinstance(expo, (int, Fraction)) and expo.denominator == 1:
+        # Neither operand is printed: either may be too long to convert.
+        bits = max(base.numerator.bit_length(), base.denominator.bit_length())
+        if abs(expo) * bits > _POWER_BITS:
+            raise ValueError(
+                "an exact power may exceed 4300 digits: "
+                f"|exponent| x base bit length is above {_POWER_BITS}"
+            )
+        return base ** int(expo)
     try:
         return float(base) ** float(expo)
     except OverflowError:

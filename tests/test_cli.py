@@ -584,6 +584,31 @@ def test_float_power_overflow_is_a_config_error(tmp_path, capsys, change):
     assert "overflows a float" in err
 
 
+@pytest.mark.parametrize(
+    "value", ["1e400", "9" * 400, 10**400], ids=["exponent", "digit-string", "json-int"]
+)
+def test_value_beyond_float_range_is_a_config_error(tmp_path, capsys, value):
+    table = dict(CONV_CONFIG["f"]["table"], a=value)
+    cfg = _write(tmp_path, "conv.json", dict(CONV_CONFIG, mode="float", f={"table": table}))
+    code, out, err = _run(capsys, ["convolve", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "f.table.'a'" in err and "float range" in err
+
+
+@pytest.mark.parametrize("alpha", [100000, "1e400"])
+def test_exact_power_past_the_digit_limit_is_refused(tmp_path, capsys, alpha):
+    prod = dict(PRODUCTION_CONFIG, mode="exact", p={"1": "1/2"}, alpha=alpha, beta=1)
+    cfg = _write(tmp_path, "prod.json", prod)
+    code, out, err = _run(capsys, ["scenario", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: an exact power may exceed 4300 digits: "
+        "|exponent| x base bit length is above 14284\n"
+    )
+
+
 FUZZ_EXAMPLES = [
     (["convolve"], CONV_CONFIG),
     (["scenario"], PRODUCTION_CONFIG),
@@ -595,7 +620,8 @@ FUZZ_EXAMPLES = [
 
 _FUZZ_NAMES = st.sampled_from(["", "a", "ab", "1/2", "x"])
 FUZZ_VALUES = st.recursive(
-    st.sampled_from([None, True, 0, 1, -1, 2.5, 1000.0, 1e308, -1e308]) | _FUZZ_NAMES,
+    st.sampled_from([None, True, 0, 1, -1, 2.5, 1000.0, 1e308, -1e308, "1e400", 10**400])
+    | _FUZZ_NAMES,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_FUZZ_NAMES, inner, max_size=3),
     max_leaves=6,
 )

@@ -153,6 +153,29 @@ def test_float_monotonicity_matches_pairwise_geq_at_the_slack():
             assert is_decreasing(table) is _pairwise_verdict(table, False)
 
 
+def test_exact_monotonicity_matches_pairwise_comparison():
+    rng = random.Random(62)
+    seen = set()
+    for n in range(9):
+        g = _ground(n)
+        for _ in range(6):
+            f = random_increasing(rng, g, rng.randint(0, 8), exact=True, strict=rng.random() < 0.5)
+            # integral entries as ints or as Fractions, at random
+            f = f.map(lambda v: int(v) if v.denominator == 1 and rng.random() < 0.5 else v)
+            # one entry off by 1/10^k: smaller than any strict step, but it
+            # breaks a plateau
+            off = list(f.values)
+            off[rng.randrange(1 << n)] += rng.choice((1, -1)) * Fraction(1, 10 ** rng.randint(1, 12))
+            off = SetFunction(g, off)
+            for table in (f, off, -f, -off):
+                assert table.exact
+                inc, dec = is_increasing(table), is_decreasing(table)
+                assert inc is _pairwise_verdict(table, True)
+                assert dec is _pairwise_verdict(table, False)
+                seen.add((inc, dec))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_exactness_flags():
     g = _ground(1)
     assert SetFunction(g, (1, Fraction(1, 2))).exact
@@ -287,6 +310,17 @@ def test_up_closure_and_membership():
     ind = fam.indicator()
     assert is_increasing(ind)
     assert set(ind.values) <= {0, 1}
+    rng = random.Random(63)
+    for n in range(8):
+        g = _ground(n)
+        for _ in range(6):
+            seeds = [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))]
+            assert up_closure(g, seeds).member == _superset_closure(n, seeds)
+
+
+def _superset_closure(n, seeds):
+    """Membership of every mask in the family of supersets of the seeds."""
+    return tuple(any(s & ~m == 0 for s in seeds) for m in range(1 << n))
 
 
 def test_monotone_family_rejects_non_up_closed():
@@ -294,21 +328,58 @@ def test_monotone_family_rejects_non_up_closed():
     table = [False, True, False, False]  # {h0} in, {h0,h1} out
     with pytest.raises(ValueError):
         MonotoneFamily(g, table)
+    # a table is accepted iff it equals the closure of its members: check
+    # random tables, and closed ones with one mask dropped or added
+    rng = random.Random(64)
+    verdicts = set()
+    for n in range(7):
+        g = _ground(n)
+        for _ in range(10):
+            closed = list(_superset_closure(n, [rng.randrange(1 << n) for _ in range(2)]))
+            flipped = list(closed)
+            flipped[rng.randrange(1 << n)] ^= True
+            coin = [rng.random() < 0.5 for _ in g.subsets()]
+            for table in (closed, flipped, coin):
+                members = [m for m in g.subsets() if table[m]]
+                up_closed = _superset_closure(n, members) == tuple(table)
+                verdicts.add(up_closed)
+                if up_closed:
+                    assert MonotoneFamily(g, table).member == tuple(table)
+                else:
+                    with pytest.raises(ValueError, match="not up-closed"):
+                        MonotoneFamily(g, table)
+    assert verdicts == {True, False}
 
 
 def test_all_monotone_indicator_counts():
-    # 3, 6, 20 monotone 0/1 functions on 1, 2, 3 elements
-    for n, count in ((1, 3), (2, 6), (3, 20)):
+    # the Dedekind numbers: 2, 3, 6, 20, 168 monotone 0/1 functions on 0-4
+    # elements.  Distinct, increasing and as many as there are, they are all
+    # of them; listed by ascending code sum(f(m) << m).
+    for n, count in ((0, 2), (1, 3), (2, 6), (3, 20), (4, 168)):
         fns = all_monotone_indicators(_ground(n))
         assert len(fns) == count
         assert len({f.values for f in fns}) == count
         assert all(is_increasing(f) for f in fns)
-        assert all(set(f.values) <= {0, 1} for f in fns)
+        assert all(type(v) is int and v in (0, 1) for f in fns for v in f.values)
+        codes = [sum(v << m for m, v in enumerate(f.values)) for f in fns]
+        assert codes == sorted(codes)
     with pytest.raises(ValueError):
         all_monotone_indicators(_ground(5))
 
 
 # -- transforms and generators -----------------------------------------------
+
+
+def _pairwise_zeta(n, weights):
+    """The zeta transform one covering pair at a time, element by element."""
+    tab = [0] * (1 << n)
+    for mask, w in weights.items():
+        tab[mask] = tab[mask] + w
+    for i in range(n):
+        for mask in range(1 << n):
+            if mask >> i & 1:
+                tab[mask] = tab[mask] + tab[mask ^ 1 << i]
+    return tab
 
 
 def test_moebius_weights_accumulate_over_subsets():
@@ -319,6 +390,14 @@ def test_moebius_weights_accumulate_over_subsets():
     for m in g.subsets():
         want = sum(w for t, w in weights.items() if t & ~m == 0)
         assert f.values[m] == want
+    # float weights: the same sums in the same order, so bit for bit
+    for n in range(9):
+        g = _ground(n)
+        for _ in range(4):
+            weights = {rng.randrange(1 << n): rng.uniform(-2.0, 2.0) for _ in range(rng.randint(0, 12))}
+            want = _pairwise_zeta(n, weights)
+            got = from_moebius_weights(g, weights).values
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
 
 
 def test_random_increasing_is_increasing():

@@ -92,3 +92,13 @@ def test_power_conventions():
     assert power(4, Fraction(2, 1)) == 16
     assert math.isclose(power(4, 0.5), 2.0)
     assert math.isclose(power(Fraction(9, 1), Fraction(1, 2)), 3.0)
+
+
+def test_exact_power_size_is_checked_before_computing():
+    # 2 has bit length 2, so 2**7142 sits exactly on the bound
+    assert power(2, 7142) == 2**7142
+    assert power(Fraction(1, 2), Fraction(-7142)) == 2**7142
+    for base, expo in ((2, 7143), (Fraction(3, 2), -7143), (7, 10**400), (10**5000, 1)):
+        with pytest.raises(ValueError, match="4300 digits"):
+            power(base, expo)
+    assert power(2, 1000.0) == 2.0**1000  # a float exponent is not bounded here
