@@ -40,7 +40,7 @@ from .lattice import (
     up_closure,
 )
 from .montecarlo import estimate_convolution, estimate_payoff
-from .numerics import Value, close, close_array, format_value, geq, geq_array, parse_value
+from .numerics import Value, close, close_array, coin_ratio, format_value, geq, geq_array, parse_value
 from .partition_game import (
     GameSpec,
     StrategyProfile,
@@ -148,16 +148,16 @@ def _ground(cfg: Mapping, field: str, limit: int | None, reserved: Sequence[str]
     return ground
 
 
-def _coins(cfg: Mapping, ground: GroundSet, mode: str, path: str = "p") -> CoinVector:
+def _coins(cfg: Mapping, ground: GroundSet, mode: str) -> CoinVector:
     obj = cfg.get("p")
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object mapping element to probability")
+        raise ConfigError("p: expected an object mapping element to probability")
     if set(obj) != set(ground.labels):
-        raise ConfigError(f"{path}: must give exactly one probability per element")
+        raise ConfigError("p: must give exactly one probability per element")
     try:
-        return CoinVector(ground, (_value(obj[h], mode, f"{path}.{h}") for h in ground.labels))
+        return CoinVector(ground, (_value(obj[h], mode, f"p.{h}") for h in ground.labels))
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"p: {exc}") from None
 
 
 def _setfunction(obj: object, ground: GroundSet, mode: str, path: str) -> SetFunction:
@@ -481,21 +481,21 @@ def _game_spec(cfg: Mapping, mode: str, limit: int | None) -> GameSpec:
         raise ConfigError(str(exc)) from None
 
 
-def _game_profile(cfg: Mapping, spec: GameSpec, field: str = "profile") -> StrategyProfile | None:
-    obj = cfg.get(field)
+def _game_profile(cfg: Mapping, spec: GameSpec) -> StrategyProfile | None:
+    obj = cfg.get("profile")
     if obj is None:
         return None
     if not isinstance(obj, dict):
-        raise ConfigError(f"{field}: expected an object mapping supplier to block lists")
+        raise ConfigError("profile: expected an object mapping supplier to block lists")
     for h, blocks in obj.items():
         if not isinstance(blocks, list) or not all(
             isinstance(b, list) and all(isinstance(k, str) for k in b) for b in blocks
         ):
-            raise ConfigError(f"{field}.{h}: expected a list of blocks of commodity names")
+            raise ConfigError(f"profile.{h}: expected a list of blocks of commodity names")
     try:
         return spec.profile(obj)
     except (ValueError, KeyError) as exc:
-        raise ConfigError(f"{field}: {exc}") from None
+        raise ConfigError(f"profile: {exc}") from None
 
 
 def _profile_json(profile: StrategyProfile) -> dict[str, list[list[str]]]:
@@ -512,19 +512,11 @@ def _merging_rows(
     ph: Value, factors: tuple[np.ndarray, ...], scales: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Separate and merged conditional payoffs and p(1-p)(a1-a0)(b1-b0)c
-    of every row of conditional_block_rows.  Exact rows are integers over
-    one common positive scale, returned with them; float rows repeat
-    conditional_payoffs' order of operations and have scale 1."""
+    of every row of conditional_block_rows, as integers over one common
+    positive scale, returned with them.  Float rows have scale 1 and
+    repeat conditional_payoffs' order of operations."""
     a0, a1, b0, b1, c = factors
-    if a0.dtype != object:
-        q, pf, pq = float(1 - ph), float(ph), float(ph * (1 - ph))
-        return (
-            (q * a0 + pf * a1) * (q * b0 + pf * b1) * c,
-            (q * (a0 * b0) + pf * (a1 * b1)) * c,
-            pq * (a1 - a0) * (b1 - b0) * c,
-            1,
-        )
-    win, den = ph.numerator, ph.denominator
+    win, den = coin_ratio(ph, a0.dtype == object)
     lose = den - win
     return (
         (lose * a0 + win * a1) * (lose * b0 + win * b1) * c,
@@ -724,9 +716,9 @@ def _verify_monotone_exhaustive(seed: int, max_ground: int):
                     })
 
 
-def _verify_monotone_random(seed: int, max_ground: int, count: int = 800):
+def _verify_monotone_random(seed: int, max_ground: int):
     rng = random.Random(seed)
-    for _ in range(count):
+    for _ in range(800):
         n = rng.randint(1, min(6, max_ground))
         ground = GroundSet([f"h{i}" for i in range(n)])
         f = random_increasing(rng, ground, rng.randint(0, 2 * n + 2))
@@ -740,9 +732,9 @@ def _verify_monotone_random(seed: int, max_ground: int, count: int = 800):
             yield 1, None
 
 
-def _verify_oracle(seed: int, max_ground: int, count: int = 120):
+def _verify_oracle(seed: int, max_ground: int):
     rng = random.Random(seed)
-    for _ in range(count):
+    for _ in range(120):
         n = rng.randint(1, min(6, max_ground))
         exact = n <= 4 and rng.random() < 0.5
         ground = GroundSet([f"h{i}" for i in range(n)])
@@ -764,10 +756,10 @@ def _verify_oracle(seed: int, max_ground: int, count: int = 120):
         yield 1, certificate
 
 
-def _verify_single_element_identity(seed: int, count: int = 400):
+def _verify_single_element_identity(seed: int):
     rng = random.Random(seed)
     ground = GroundSet(["h0"])
-    for _ in range(count):
+    for _ in range(400):
         a, a1, b, b1 = (Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(4))
         ph = Fraction(rng.randint(0, 12), 12)
         table = convolve(
@@ -781,10 +773,10 @@ def _verify_single_element_identity(seed: int, count: int = 400):
         })
 
 
-def _verify_scenarios(seed: int, max_ground: int, count: int = 80):
+def _verify_scenarios(seed: int, max_ground: int):
     rng = random.Random(seed)
     cap = min(5, max_ground)
-    for _ in range(count):
+    for _ in range(80):
         n = rng.randint(1, cap)
         ground = GroundSet([f"h{i}" for i in range(n)])
         scenarios = (
@@ -796,9 +788,9 @@ def _verify_scenarios(seed: int, max_ground: int, count: int = 80):
         yield 1, (None if ok else {"n": n, "seed": seed})
 
 
-def _verify_games(seed: int, count: int = 12):
+def _verify_games(seed: int):
     rng = random.Random(seed)
-    for idx in range(count):
+    for idx in range(12):
         strict = idx % 3 == 0
         spec = generators.random_game_spec(rng, strict=strict)
         certs, nash, nash_has_coarse = _game_verdict(spec)
@@ -813,18 +805,18 @@ def _verify_games(seed: int, count: int = 12):
             yield 1, None
 
 
-def _verify_expost(seed: int, count: int = 30):
+def _verify_expost(seed: int):
     rng = random.Random(seed)
-    for _ in range(count):
+    for _ in range(30):
         spec = generators.random_game_spec(rng)
         profile = generators.random_profile(rng, spec)
         result = _expost_sweep(spec, profile)
         yield result["checked"], result["violation"]
 
 
-def _verify_scaling(seed: int, count: int = 15):
+def _verify_scaling(seed: int):
     rng = random.Random(seed)
-    for _ in range(count):
+    for _ in range(15):
         spec = generators.random_game_spec(rng)
         kappa = {h: Fraction(rng.randint(1, 40), 4) for h in spec.suppliers}
         scaled = scaled_spec(spec, kappa)
@@ -842,9 +834,9 @@ def _verify_scaling(seed: int, count: int = 15):
             yield 1, None
 
 
-def _verify_montecarlo(seed: int, samples: int, count: int = 10):
+def _verify_montecarlo(seed: int, samples: int):
     rng = random.Random(seed)
-    for idx in range(count):
+    for idx in range(10):
         if idx % 2 == 0:
             spec = generators.random_game_spec(rng)
             profile = generators.random_profile(rng, spec)
@@ -924,10 +916,9 @@ def _at_least(low: int) -> Callable[[str], int]:
     return at_least
 
 
-def _add_common(sub: argparse.ArgumentParser, config: bool = True) -> None:
-    if config:
-        sub.add_argument("--config", required=True, help="path to the JSON config")
-        sub.add_argument("--mode", choices=("exact", "float"), help="override the config's numeric mode")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", required=True, help="path to the JSON config")
+    sub.add_argument("--mode", choices=("exact", "float"), help="override the config's numeric mode")
     sub.add_argument("--out", help="directory for report.json (and CSV tables with --csv)")
     sub.add_argument("--max-ground", type=_at_least(0), default=None, help="reject ground sets larger than N")
 

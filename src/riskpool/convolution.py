@@ -18,9 +18,12 @@ not correlate at all, so
 
 the noise-stability form <f, T_rho g> with rho = 1_S (O'Donnell, Analysis
 of Boolean Functions, ch. 8).  The sum over subsets of S is one fast zeta
-transform, so the table costs O(n 2**n).  `convolve_bruteforce` evaluates
-the defining double sum for a single S and exists to cross-check the fast
-route, never to be replaced by it.
+transform, so the table costs O(n 2**n).  It runs one path in both numeric
+modes: exact tables and coins enter as integers over a scale (see
+`numerics.scaled_array` and `numerics.coin_ratio`), float ones over 1.
+`convolve_bruteforce` evaluates the defining double sum for a single S, with
+its own exact and float routes, and exists to cross-check the fast route,
+never to be replaced by it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .lattice import (
     expectation,
     submasks,
 )
-from .numerics import Value, clear_denominators
+from .numerics import Value, coin_ratio, scaled_array
 
 MAX_BRUTEFORCE = 10
 
@@ -79,34 +82,23 @@ def convolve(f: SetFunction, g: SetFunction, p: CoinVector) -> SetFunction:
     """Full table of f * g: one p-biased butterfly pass per element on f
     and on g, a weighted pointwise product and one zeta transform, O(n 2**n).
 
-    Exact when all inputs are exact: tables are cleared of denominators,
-    every pass runs on integers and the result is divided once, so each
-    entry is a Fraction.  Otherwise numpy float64, entries are floats.
+    Exact when all inputs are exact, and then every entry is a Fraction;
+    otherwise numpy float64, and entries are floats.
     """
     ground = _common_ground(f, g, p)
-    if not (f.exact and g.exact and p.exact):
-        out = _coupled_sum(
-            np.array(f.values, dtype=float),
-            np.array(g.values, dtype=float),
-            [(1, ph, ph * (1.0 - ph), 1) for ph in map(float, p.p)],
-        )
-        return SetFunction(ground, out.tolist())
-    # Integer path: each table times the lcm of its denominators; for the
-    # coin a/d the butterfly is scaled by d and the weights are a (d - a)
-    # inside A and d**2 outside it, so every entry carries d**4 per coin.
-    tables = []
-    den = 1
-    for fn in (f, g):
-        ints, lcm = clear_denominators(fn.values)
-        tables.append(np.array(ints, dtype=object))
-        den *= lcm
-    coins = []
+    exact = f.exact and g.exact and p.exact
+    # Each table is integers over its scale (the lcm of its denominators);
+    # for the coin a/d the butterfly is scaled by d and the weights are
+    # a (d - a) inside A and d**2 outside it, so every entry carries d**4
+    # per coin.  A float coin is (p, 1): the float run has scale 1.
+    (fa, scale_f), (ga, scale_g) = scaled_array(f.values, exact), scaled_array(g.values, exact)
+    coins, den = [], scale_f * scale_g
     for ph in p.p:
-        a, d = ph.numerator, ph.denominator
+        a, d = coin_ratio(ph, exact)
         coins.append((d, a, a * (d - a), d * d))
         den *= d**4
-    out = _coupled_sum(tables[0], tables[1], coins)
-    return SetFunction(ground, [Fraction(x, den) for x in out.tolist()])
+    out = _coupled_sum(fa, ga, coins).tolist()
+    return SetFunction(ground, [Fraction(x, den) for x in out] if exact else out)
 
 
 def _bruteforce_float(f: SetFunction, g: SetFunction, p: CoinVector, coupled: int) -> float:

@@ -60,7 +60,7 @@ def random_coin_vector(
 
 
 def random_setfunction(
-    rng: random.Random | int, ground: GroundSet, *, exact: bool = False, span: float = 4.0
+    rng: random.Random | int, ground: GroundSet, *, exact: bool = False
 ) -> SetFunction:
     """Arbitrary (not necessarily monotone) values, for algebra checks."""
     rng = _rng(rng)
@@ -69,7 +69,7 @@ def random_setfunction(
             ground,
             (Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for _ in ground.subsets()),
         )
-    return SetFunction(ground, (rng.uniform(-span, span) for _ in ground.subsets()))
+    return SetFunction(ground, (rng.uniform(-4.0, 4.0) for _ in ground.subsets()))
 
 
 def random_monotone_family(rng: random.Random | int, ground: GroundSet) -> MonotoneFamily:
@@ -80,9 +80,7 @@ def random_monotone_family(rng: random.Random | int, ground: GroundSet) -> Monot
     return up_closure(ground, seeds)
 
 
-def random_production(
-    rng: random.Random | int, ground: GroundSet, *, degenerate: bool = True
-) -> TwoInputProduction:
+def random_production(rng: random.Random | int, ground: GroundSet) -> TwoInputProduction:
     rng = _rng(rng)
 
     def amount() -> float:
@@ -94,19 +92,17 @@ def random_production(
         y=tuple(amount() for _ in range(ground.n)),
         alpha=rng.uniform(0.1, 2.5),
         beta=rng.uniform(0.1, 2.5),
-        p=random_coin_vector(rng, ground, degenerate=degenerate),
+        p=random_coin_vector(rng, ground, degenerate=True),
     )
 
 
-def random_military(
-    rng: random.Random | int, ground: GroundSet, *, exact: bool = False
-) -> MilitaryScenario:
+def random_military(rng: random.Random | int, ground: GroundSet) -> MilitaryScenario:
     rng = _rng(rng)
     return MilitaryScenario(
         ground,
         c_red=random_monotone_family(rng, ground),
         c_blue=random_monotone_family(rng, ground),
-        p=random_coin_vector(rng, ground, exact=exact, degenerate=True),
+        p=random_coin_vector(rng, ground, degenerate=True),
     )
 
 
@@ -145,10 +141,7 @@ def random_game_spec(
     rng: random.Random | int,
     *,
     max_commodities: int = 4,
-    max_suppliers: int = 3,
-    p_choices: Sequence[Value] = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
     strict: bool = False,
-    symmetric: bool = False,
 ) -> GameSpec:
     """Random spec at the exhaustive-analysis scale.
 
@@ -159,7 +152,7 @@ def random_game_spec(
     """
     rng = _rng(rng)
     commodities = _labels("k", rng.randint(1, max_commodities))
-    suppliers = _labels("s", rng.randint(1, max_suppliers))
+    suppliers = _labels("s", rng.randint(1, 3))
     hground = GroundSet(suppliers)
     supply: dict[str, tuple[str, ...]] = {}
     for h in suppliers:
@@ -174,19 +167,9 @@ def random_game_spec(
             f = f + Fraction(rng.randint(1, 4), rng.randint(1, 4))
         return f
 
-    payoffs: dict[str, SetFunction | dict[str, SetFunction]] = {}
-    for k in commodities:
-        if symmetric:
-            payoffs[k] = family()
-        else:
-            payoffs[k] = {h: family() for h in suppliers}
-    return GameSpec.build(
-        commodities,
-        suppliers,
-        supply,
-        random_coin_vector(rng, hground, choices=p_choices),
-        payoffs,
-    )
+    payoffs = {k: {h: family() for h in suppliers} for k in commodities}
+    p = random_coin_vector(rng, hground, choices=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
+    return GameSpec.build(commodities, suppliers, supply, p, payoffs)
 
 
 def random_profile(rng: random.Random | int, spec: GameSpec) -> StrategyProfile:

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .numerics import Value, all_exact, clear_denominators, geq_array, stable_sum
+from .numerics import Value, all_exact, geq_array, scaled_array, stable_sum
 
 MAX_GROUND = 20
 
@@ -203,10 +203,7 @@ def _steps_hold(a: np.ndarray, n: int, holds: Callable) -> bool:
 
 
 def _is_monotone(f: SetFunction, increasing: bool) -> bool:
-    if f.exact:
-        table = np.array(clear_denominators(f.values)[0], dtype=object)
-    else:
-        table = np.array(f.values, dtype=float)
+    table = scaled_array(f.values, f.exact)[0]
     holds = (lambda lo, hi: geq_array(hi, lo)) if increasing else geq_array
     return _steps_hold(table, f.ground.n, holds)
 

@@ -15,6 +15,7 @@ from .lattice import CoinVector, SetFunction
 from .partition_game import (
     GameSpec,
     StrategyProfile,
+    _check_float_range,
     _success_masks,
     _table_product,
     _validate_profile,
@@ -68,11 +69,15 @@ def _report(vals: np.ndarray, samples: int, seed: int) -> EstimateReport:
 def estimate_payoff(
     spec: GameSpec, profile: StrategyProfile, h: str, samples: int, seed: int
 ) -> EstimateReport:
-    """Empirical mean and standard error of player h's product payoff."""
+    """Empirical mean and standard error of player h's product payoff.
+
+    Sampling runs in float64, so an exact spec is refused as a float spec
+    would be if its payoffs could leave float range."""
     if samples < 2:
         raise ValueError("at least two samples required")
     hi = spec.h_index(h)
     _validate_profile(spec, profile)
+    _check_float_range(spec)
     vals = _sample_products(spec, profile, hi, samples, generator(seed))
     return _report(vals, samples, seed)
 

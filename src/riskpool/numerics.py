@@ -5,6 +5,13 @@ Two value domains coexist throughout the package: exact rationals
 large randomized sweeps.  Comparisons are exact in the rational domain and
 tolerance-aware in the float domain; the tolerance is relative with an
 absolute floor so that values near zero do not produce spurious failures.
+
+Exactness is decided jointly: a computation is exact only when every
+operand is, and one float anywhere makes it float.  The numpy kernels keep
+one format for both domains, decided here: `scaled_array` turns a table
+into integers over one scale (float64 over 1 in float mode) and
+`coin_ratio` a coin into win / den ((p, 1) in float mode), so each kernel
+runs one path and an exact result is divided by its scale once.
 """
 
 from __future__ import annotations
@@ -96,10 +103,19 @@ def stable_sum(terms: Sequence[Value]) -> Value:
     return math.fsum(float(t) for t in terms)
 
 
-def clear_denominators(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
-    """Exact values as integers over the lcm of their denominators, and that lcm."""
+def scaled_array(values: Sequence[Value], exact: bool) -> tuple[np.ndarray, int]:
+    """Values as one array over a scale: exact values are object-dtype
+    integers over the lcm of their denominators, others float64 over 1."""
+    if not exact:
+        return np.array(values, dtype=float), 1
     lcm = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (lcm // v.denominator) for v in values], lcm
+    return np.array([v.numerator * (lcm // v.denominator) for v in values], dtype=object), lcm
+
+
+def coin_ratio(p: Value, exact: bool) -> tuple[Value, int]:
+    """A coin as win / den: its numerator and denominator when exact,
+    otherwise (float(p), 1)."""
+    return (p.numerator, p.denominator) if exact else (float(p), 1)
 
 
 def power(base: Value, expo: Value) -> Value:

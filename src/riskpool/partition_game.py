@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .lattice import CoinVector, SetFunction, is_increasing
-from .numerics import Value, argmax_ties, clear_denominators, geq, geq_array
+from .numerics import Value, argmax_ties, coin_ratio, geq, geq_array, scaled_array
 
 MAX_COMMODITIES = 8
 MAX_SUPPLIERS = 6
@@ -152,7 +152,9 @@ class GameSpec:
     payoffs[k][h] is the nonnegative increasing function F applied to the
     supplier set that delivered commodity k, entering player h's product
     payoff.  `symmetric`, computed from the payoffs, is true when they do
-    not depend on h.
+    not depend on h, and `exact` when every coin and payoff value is exact.
+    A float spec must keep its payoffs within float range (see
+    _check_float_range).
 
     The first exhaustive request (check_dominance or find_nash) builds
     every player's payoffs over all profiles at once, one array per player
@@ -168,6 +170,7 @@ class GameSpec:
     p: CoinVector
     payoffs: tuple[tuple[SetFunction, ...], ...]
     symmetric: bool = field(init=False)
+    exact: bool = field(init=False)
     # (strategy -> axis position per supplier, payoff array per player)
     _payoff_arrays: tuple[tuple[dict, ...], tuple[np.ndarray, ...]] | None = field(
         default=None, init=False, compare=False, repr=False
@@ -204,8 +207,12 @@ class GameSpec:
                     raise ValueError(f"payoff for {k!r} takes negative values")
                 if not is_increasing(f):
                     raise ValueError(f"payoff for {k!r} is not increasing")
+        exact = self.p.exact and all(f.exact for row in self.payoffs for f in row)
+        if not exact:
+            _check_float_range(self)
         symmetric = all(row.count(row[0]) == len(row) for row in self.payoffs)
         object.__setattr__(self, "symmetric", symmetric)
+        object.__setattr__(self, "exact", exact)
 
     @classmethod
     def build(
@@ -289,6 +296,23 @@ class GameSpec:
         )
 
 
+def _check_float_range(spec: GameSpec) -> None:
+    """Refuse a player h for whom the product over k of max(1, max F_k^h)
+    is beyond float range.  It bounds every partial product, in any order,
+    so below it every float payoff, sampled product and ex-post row of h
+    is finite."""
+    for hi, h in enumerate(spec.suppliers):
+        try:
+            bound = math.prod(max(1.0, float(max(row[hi].values))) for row in spec.payoffs)
+        except OverflowError:  # a Fraction beyond float range
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ValueError(
+                f"payoffs of {h!r}: the product over commodities of max(1, max payoff) "
+                "is beyond float range"
+            )
+
+
 def _validate_profile(spec: GameSpec, profile: StrategyProfile) -> None:
     if len(profile.strategies) != len(spec.suppliers):
         raise ValueError("profile must contain one strategy per supplier")
@@ -357,19 +381,11 @@ def _payoff_tables(spec: GameSpec, hi: int) -> list[tuple[Value, ...]]:
     return [row[hi].values for row in spec.payoffs]
 
 
-def _table_arrays(spec: GameSpec, hi: int, exact: bool) -> tuple[list[np.ndarray], list[int]]:
-    """Player hi's payoff tables as arrays, with one scale per commodity:
-    exact tables are integers over the lcm of their denominators, float
-    tables have scale 1."""
-    if not exact:
-        tables = [np.array(tab, dtype=float) for tab in _payoff_tables(spec, hi)]
-        return tables, [1] * len(tables)
-    cleared = [clear_denominators(tab) for tab in _payoff_tables(spec, hi)]
-    return [np.array(ints, dtype=object) for ints, _ in cleared], [lcm for _, lcm in cleared]
-
-
-def _spec_exact(spec: GameSpec) -> bool:
-    return spec.p.exact and all(f.exact for row in spec.payoffs for f in row)
+def _table_arrays(spec: GameSpec, hi: int) -> tuple[list[np.ndarray], list[int]]:
+    """Player hi's payoff tables as numerics.scaled_array makes them, with
+    one scale per commodity."""
+    scaled = [scaled_array(tab, spec.exact) for tab in _payoff_tables(spec, hi)]
+    return [tab for tab, _ in scaled], [scale for _, scale in scaled]
 
 
 def _strategy_law(
@@ -383,7 +399,7 @@ def _strategy_law(
     with probability ph or not at all, so the law vanishes on vectors that
     split one.  Exact laws are integers over den**n, float laws have scale 1.
     """
-    win, den = (ph.numerator, ph.denominator) if exact else (float(ph), 1)
+    win, den = coin_ratio(ph, exact)
     n = len(base.blocks)
     x = np.arange(1 << n)
     pos = {k: n - 1 - c for c, block in enumerate(base.blocks) for k in block}
@@ -410,16 +426,16 @@ def _build_payoff_arrays(
     symmetric game builds one array.  There are 2**(sum of supply sizes)
     cells, and MAX_PROFILES already bounds that sum at 21.
     """
-    exact = _spec_exact(spec)
+    exact = spec.exact
     finest = spec.finest_profile()
     laws, denom = [], 1
     for ph, base, lst in zip(spec.p.p, finest.strategies, lists):
         laws.append(np.array([_strategy_law(s, base, ph, exact) for s in lst]))
-        denom *= (ph.denominator if exact else 1) ** len(base.blocks)
+        denom *= coin_ratio(ph, exact)[1] ** len(base.blocks)
     masks = np.concatenate([m for _, m in _pattern_masks(spec, finest)])
     arrays = []
     for hi in range(1 if spec.symmetric else len(spec.suppliers)):
-        tables, lcms = _table_arrays(spec, hi, exact)
+        tables, lcms = _table_arrays(spec, hi)
         pay = _table_product(tables, masks, np.ones(len(masks), dtype=object if exact else float))
         pay = pay.reshape([1 << len(owned) for owned in spec.supply])
         for law in laws:
@@ -452,16 +468,16 @@ def expected_payoff(spec: GameSpec, profile: StrategyProfile, h: str) -> Value:
             pass
         else:
             return arrays[hi].item(cell)
-    exact = _spec_exact(spec)
+    exact = spec.exact
     patterns = _pattern_masks(spec, profile)
-    tables, scales = _table_arrays(spec, hi, exact)  # then one scale per law
+    tables, scales = _table_arrays(spec, hi)  # then one scale per law
     low = sum(len(s.blocks) for s in profile.strategies)
     laws = []  # per supplier: its law, where its bits sit, and their mask
     for ph, strat in zip(spec.p.p, profile.strategies):
         nb = len(strat.blocks)
         low -= nb
         laws.append((_strategy_law(strat, strat, ph, exact), low, (1 << nb) - 1))
-        scales.append((ph.denominator if exact else 1) ** nb)
+        scales.append(coin_ratio(ph, exact)[1] ** nb)
     parts = []
     for r, masks in patterns:
         weights = 1
@@ -574,8 +590,7 @@ def conditional_block_rows(
     arrived = np.zeros((1 << len(free), total), dtype=bool)
     arrived[:, free] = _arrival_rows(np.arange(len(arrived)), len(free))
     masks = _success_masks(spec, profile, arrived)
-    exact = _spec_exact(spec)
-    tables, lcms = _table_arrays(spec, hi, exact)
+    tables, lcms = _table_arrays(spec, hi)
     hbit = 1 << hi
     block_i = [spec.k_index(k) for k in strat.blocks[i]]
     block_j = [spec.k_index(k) for k in strat.blocks[j]]
@@ -583,7 +598,7 @@ def conditional_block_rows(
 
     def prod(indices: list[int], with_h: bool) -> np.ndarray:
         own = masks[:, indices] | hbit if with_h else masks[:, indices]
-        ones = np.ones(len(arrived), dtype=object if exact else float)
+        ones = np.ones(len(arrived), dtype=object if spec.exact else float)
         return _table_product([tables[ki] for ki in indices], own, ones)
 
     factors = (

@@ -573,6 +573,37 @@ def test_game_config_shapes_are_checked(tmp_path, capsys, field, entry):
         assert f"{field}.h1" in err
 
 
+def test_game_payoffs_beyond_float_range_are_a_config_error(tmp_path, capsys):
+    # Every value is a float, but the product payoff of 'h1' is not.
+    big = {"table": {"": 1e200, "h1": 1e200}}
+    cfg = {
+        "kind": "game",
+        "mode": "float",
+        "commodities": ["a", "b"],
+        "suppliers": ["h1"],
+        "p": {"h1": 0.5},
+        "supply": {"h1": ["a", "b"]},
+        "payoffs": {"a": big, "b": big},
+    }
+    path = _write(tmp_path, "c.json", cfg)
+    for command in (["game", "analyze"], ["game", "simulate", "--samples", "50"]):
+        code, out, err = _run(capsys, [*command, "--config", path])
+        assert code == 2
+        assert out == ""
+        assert "payoffs of 'h1'" in err and "float range" in err
+    # The exact game is analyzed exactly, but sampling runs in floats.
+    big = {"table": {"": 10**200, "h1": 10**200}}
+    exact = dict(cfg, mode="exact", p={"h1": "1/2"}, payoffs={"a": big, "b": big})
+    path = _write(tmp_path, "c.json", exact)
+    code, out, _ = _run(capsys, ["game", "analyze", "--config", path])
+    assert code == 0
+    assert json.loads(out)["payoff_tables"]["h1"]["h1:a,b"] == 10**400
+    code, out, err = _run(capsys, ["game", "simulate", "--samples", "50", "--config", path])
+    assert code == 2
+    assert out == ""
+    assert "payoffs of 'h1'" in err and "float range" in err
+
+
 @pytest.mark.parametrize("change", [{"alpha": 1000.0}, {"x": {"1": 1e300}, "alpha": 2}])
 def test_float_power_overflow_is_a_config_error(tmp_path, capsys, change):
     with pytest.raises(ValueError, match="overflows"):
@@ -648,7 +679,25 @@ def _replaced(obj, path, value):
     return out
 
 
+def _node(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _numeric(value) -> bool:
+    """A node the config reads as a number: a JSON number or a rational string."""
+    try:
+        parse_value(value)
+    except ValueError:
+        return False
+    return True
+
+
 FUZZ_SITES = [(argv, cfg, path) for argv, cfg in FUZZ_EXAMPLES for path in _nodes(cfg)]
+# Values aimed at a numeric node: beyond float range, at its edge, negative,
+# a zero denominator, not a number.
+FUZZ_NUMBERS = st.sampled_from(["1e400", 10**400, 1e308, -1, "1/0", "x"])
 
 
 @settings(
@@ -657,9 +706,10 @@ FUZZ_SITES = [(argv, cfg, path) for argv, cfg in FUZZ_EXAMPLES for path in _node
     derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(site=st.sampled_from(FUZZ_SITES), value=FUZZ_VALUES)
-def test_any_one_node_changed_gives_a_report_or_a_config_error(tmp_path, capsys, site, value):
-    argv, cfg, path = site
+@given(data=st.data())
+def test_any_one_node_changed_gives_a_report_or_a_config_error(tmp_path, capsys, data):
+    argv, cfg, path = data.draw(st.sampled_from(FUZZ_SITES), label="site")
+    value = data.draw(FUZZ_NUMBERS if _numeric(_node(cfg, path)) else FUZZ_VALUES, label="value")
     bad = _write(tmp_path, "fuzz.json", _replaced(cfg, path, value))
     code = main([*argv, "--config", bad])
     capsys.readouterr()

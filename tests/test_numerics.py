@@ -4,7 +4,18 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from riskpool.convolution import convolve, harris_gap
+from riskpool.lattice import (
+    CoinVector,
+    GroundSet,
+    SetFunction,
+    expectation,
+    from_moebius_weights,
+    is_increasing,
+)
 from riskpool.numerics import (
     argmax_ties,
     close,
@@ -16,6 +27,7 @@ from riskpool.numerics import (
     slack,
     stable_sum,
 )
+from riskpool.partition_game import GameSpec, expected_payoff
 
 
 def test_is_exact_accepts_int_and_fraction_only():
@@ -102,3 +114,84 @@ def test_exact_power_size_is_checked_before_computing():
         with pytest.raises(ValueError, match="4300 digits"):
             power(base, expo)
     assert power(2, 1000.0) == 2.0**1000  # a float exponent is not bounded here
+
+
+# -- exactness is decided jointly ---------------------------------------------
+
+
+_WEIGHT = st.builds(Fraction, st.integers(0, 4), st.integers(1, 4))
+_SIGNED = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+_COIN = st.builds(Fraction, st.integers(0, 16), st.just(16))
+
+
+def _floats_at(values, flags):
+    """The values, with every flagged entry turned into a float."""
+    return tuple(float(v) if flag else v for v, flag in zip(values, flags))
+
+
+def _agrees(got, exact, mixed):
+    """A call on mixed operands gives a float close to the all-exact result;
+    on exact operands, the exact result itself."""
+    if mixed:
+        assert isinstance(got, float) and close(got, exact)
+    else:
+        assert not isinstance(got, float) and got == exact
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mixed_operands_give_floats_close_to_the_exact_result(data):
+    # Exact operands with some entries of f, g, p or the game's payoffs
+    # turned into floats.  Every call whose operands hold a float returns
+    # floats close to the all-exact result, and every other call stays
+    # exact.  The one ValueError: a float game whose product payoffs leave
+    # float range, here two factors of at least 10**200.
+    n = data.draw(st.integers(1, 3), label="n")
+    ground = GroundSet([f"h{i}" for i in range(n)])
+    size = 1 << n
+
+    def increasing():
+        weights = data.draw(st.lists(_WEIGHT, min_size=size, max_size=size))
+        return from_moebius_weights(ground, dict(enumerate(weights)))
+
+    def flags(count):
+        return data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+
+    f = increasing()
+    g = SetFunction(ground, data.draw(st.lists(_SIGNED, min_size=size, max_size=size)))
+    p = CoinVector(ground, data.draw(st.lists(_COIN, min_size=n, max_size=n)))
+    f_at, g_at, p_at = flags(size), flags(size), flags(n)
+    mf = SetFunction(ground, _floats_at(f.values, f_at))
+    mg = SetFunction(ground, _floats_at(g.values, g_at))
+    mp = CoinVector(ground, _floats_at(p.p, p_at))
+    in_f, in_g, in_p = any(f_at), any(g_at), any(p_at)
+
+    table = convolve(mf, mg, mp)
+    for got, want in zip(table.values, convolve(f, g, p).values):
+        _agrees(got, want, in_f or in_g or in_p)
+    _agrees(expectation(mf, mp), expectation(f, p), in_f or in_p)
+    _agrees(harris_gap(mf, mg, mp), harris_gap(f, g, p), in_f or in_g or in_p)
+    assert is_increasing(mf) and is_increasing(mg) == is_increasing(g)
+
+    commodities = [f"k{i}" for i in range(data.draw(st.integers(1, 2), label="commodities"))]
+    huge = flags(len(commodities))
+    tables = [(increasing() + 1) * (10**200 if big else 1) for big in huge]
+    table_at = [flags(size) for _ in commodities]
+    mixed = any(map(any, table_at)) or in_p
+    mixed_tables = [SetFunction(ground, _floats_at(t.values, at)) for t, at in zip(tables, table_at)]
+
+    def game(coins, payoffs):
+        supply = {h: commodities for h in ground.labels}
+        return GameSpec.build(commodities, ground.labels, supply, coins, dict(zip(commodities, payoffs)))
+
+    spec = game(p, tables)
+
+    if mixed and all(huge) and len(huge) == 2:
+        with pytest.raises(ValueError, match="float range"):
+            game(mp, mixed_tables)
+        return
+    mspec = game(mp, mixed_tables)
+    assert spec.exact and mspec.exact is not mixed
+    for profile in (spec.coarse_profile(), spec.finest_profile()):
+        for h in ground.labels:
+            _agrees(expected_payoff(mspec, profile, h), expected_payoff(spec, profile, h), mixed)

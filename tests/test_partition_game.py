@@ -171,6 +171,26 @@ def test_symmetric_flag_is_checked_not_trusted():
         )
     asym = GameSpec(spec.commodities, spec.suppliers, spec.supply, spec.p, ((f, other),))
     assert not asym.symmetric
+    # the same holds for the exactness flag
+    assert spec.exact and not _float_spec(spec).exact
+    with pytest.raises(TypeError):
+        GameSpec(spec.commodities, spec.suppliers, spec.supply, spec.p, ((f, f),), exact=False)
+
+
+def test_float_payoffs_beyond_float_range_are_refused():
+    # Each factor is finite, but the product payoff of 'h' is not: a float
+    # spec refuses it.  Exact values beyond float range cannot enter a
+    # float spec either, and the exact spec of the same values is fine.
+    big = (1e200, 1e200)
+    with pytest.raises(ValueError, match="payoffs of 'h'.*float range"):
+        _single_supplier_spec([big, big], p=0.5)
+    with pytest.raises(ValueError, match="payoffs of 'h'.*float range"):
+        _single_supplier_spec([(0, 10**400)], p=0.5)
+    in_range = _single_supplier_spec([big, (F(1, 2), 1)], p=0.5)
+    assert close(expected_payoff(in_range, in_range.coarse_profile(), "h"), 7.5e199)
+    exact = _single_supplier_spec([(10**200, 10**200)] * 2)
+    assert exact.exact
+    assert expected_payoff(exact, exact.finest_profile(), "h") == 10**400
 
 
 # -- success distribution --------------------------------------------------------
@@ -486,9 +506,9 @@ def test_finest_profile_payoff_factorizes_up_to_the_block_cap(monkeypatch, exact
         rows.append(len(masks))
         return product(tables, masks, weights)
 
-    def spy_arrays(spec, hi, exact):
+    def spy_arrays(spec, hi):
         table_reads.append(hi)
-        return arrays(spec, hi, exact)
+        return arrays(spec, hi)
 
     monkeypatch.setattr(partition_game, "_table_product", spy_product)
     monkeypatch.setattr(partition_game, "_table_arrays", spy_arrays)
