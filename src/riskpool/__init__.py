@@ -15,7 +15,6 @@ from .convolution import (
 from .lattice import (
     CoinVector,
     GroundSet,
-    MonotoneFamily,
     SetFunction,
     all_monotone_indicators,
     expectation,
@@ -54,7 +53,6 @@ from .scenarios import (
     MergerScenario,
     MilitaryScenario,
     TwoInputProduction,
-    WeightedVotingSpec,
     merger_table,
     military_tables,
     optimal_strategies,
@@ -74,12 +72,10 @@ __all__ = [
     "GroundSet",
     "MergerScenario",
     "MilitaryScenario",
-    "MonotoneFamily",
     "PartitionStrategy",
     "SetFunction",
     "StrategyProfile",
     "TwoInputProduction",
-    "WeightedVotingSpec",
     "all_monotone_indicators",
     "best_replies",
     "check_dominance",

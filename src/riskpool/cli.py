@@ -30,7 +30,6 @@ from .convolution import convolve, convolve_bruteforce, harris_gap
 from .lattice import (
     CoinVector,
     GroundSet,
-    MonotoneFamily,
     SetFunction,
     expectation,
     from_moebius_weights,
@@ -57,7 +56,6 @@ from .scenarios import (
     MergerScenario,
     MilitaryScenario,
     TwoInputProduction,
-    WeightedVotingSpec,
     merger_table,
     military_tables,
     optimal_strategies,
@@ -209,21 +207,18 @@ def _subset_list(obj: object, ground: GroundSet, path: str) -> list[int]:
     return out
 
 
-def _family(obj: object, ground: GroundSet, path: str) -> MonotoneFamily:
+def _family(obj: object, ground: GroundSet, path: str) -> SetFunction:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     if ("seeds" in obj) == ("members" in obj):
         raise ConfigError(f"{path}: give exactly one of 'seeds' or 'members'")
     if "seeds" in obj:
         return up_closure(ground, _subset_list(obj["seeds"], ground, f"{path}.seeds"))
-    members = _subset_list(obj["members"], ground, f"{path}.members")
-    table = [False] * (1 << ground.n)
-    for m in members:
-        table[m] = True
-    try:
-        return MonotoneFamily(ground, table)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.members: {exc}") from None
+    members = set(_subset_list(obj["members"], ground, f"{path}.members"))
+    family = SetFunction(ground, (int(m in members) for m in ground.subsets()))
+    if not is_increasing(family):
+        raise ConfigError(f"{path}.members: family is not up-closed")
+    return family
 
 
 def _voting_rule(obj: object, ground: GroundSet, mode: str, path: str) -> SetFunction:
@@ -239,14 +234,13 @@ def _voting_rule(obj: object, ground: GroundSet, mode: str, path: str) -> SetFun
     if "quota" not in obj:
         raise ConfigError(f"{path}: voting weights need a 'quota'")
     try:
-        spec = WeightedVotingSpec(
+        return weighted_voting(
             ground,
             tuple(_value(wobj[h], mode, f"{path}.weights.{h}") for h in ground.labels),
             _value(obj["quota"], mode, f"{path}.quota"),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return weighted_voting(spec)
 
 
 def _load_config(path: str, mode_flag: str | None, expected_kinds: Sequence[str]) -> tuple[dict, str]:
@@ -275,7 +269,7 @@ def _load_config(path: str, mode_flag: str | None, expected_kinds: Sequence[str]
 
 
 def _emit(report: dict, out: str | None, tables: Mapping[str, Mapping[str, object]], want_csv: bool) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     print(text)
     if out is None:
         return

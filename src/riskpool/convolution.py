@@ -43,7 +43,7 @@ from .lattice import (
     expectation,
     submasks,
 )
-from .numerics import Value, coin_ratio, scaled_array
+from .numerics import Value, coin_ratio, float_array, scaled_array
 
 MAX_BRUTEFORCE = 10
 
@@ -116,8 +116,7 @@ def _bruteforce_float(f: SetFunction, g: SetFunction, p: CoinVector, coupled: in
         else:
             ws = np.concatenate([ws, ws])
             wc = np.concatenate([wc * (1.0 - phf), wc * phf])
-    fa = np.array([float(v) for v in f.values])
-    ga = np.array([float(v) for v in g.values])
+    fa, ga = float_array(f.values), float_array(g.values)
     s1 = np.arange(1 << n)
     free = np.array(list(submasks(comp)), dtype=np.int64)
     s2 = (s1 & coupled)[:, None] | free[None, :]
@@ -163,7 +162,9 @@ def harris_gap(f: SetFunction, g: SetFunction, p: CoinVector) -> Value:
 
     Nonnegative whenever f and g are both increasing.
     """
-    _common_ground(f, g, p)
+    ground = _common_ground(f, g, p)
+    if not (f.exact and g.exact):
+        f, g = (SetFunction(ground, float_array(h.values).tolist()) for h in (f, g))
     return expectation(f * g, p) - expectation(f, p) * expectation(g, p)
 
 

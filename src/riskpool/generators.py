@@ -13,23 +13,10 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import (
-    CoinVector,
-    GroundSet,
-    MonotoneFamily,
-    SetFunction,
-    random_increasing,
-    up_closure,
-)
+from .lattice import CoinVector, GroundSet, SetFunction, random_increasing, up_closure
 from .numerics import Value
 from .partition_game import GameSpec, PartitionStrategy, StrategyProfile, enumerate_partitions
-from .scenarios import (
-    MergerScenario,
-    MilitaryScenario,
-    TwoInputProduction,
-    WeightedVotingSpec,
-    weighted_voting,
-)
+from .scenarios import MergerScenario, MilitaryScenario, TwoInputProduction, weighted_voting
 
 
 def _rng(seed: random.Random | int) -> random.Random:
@@ -72,8 +59,8 @@ def random_setfunction(
     return SetFunction(ground, (rng.uniform(-4.0, 4.0) for _ in ground.subsets()))
 
 
-def random_monotone_family(rng: random.Random | int, ground: GroundSet) -> MonotoneFamily:
-    """Up-closure of a random seed list; covers empty and full families."""
+def random_monotone_family(rng: random.Random | int, ground: GroundSet) -> SetFunction:
+    """0/1 up-closure of a random seed list; covers empty and full families."""
     rng = _rng(rng)
     count = rng.randint(0, ground.n + 1)
     seeds = [rng.randrange(1 << ground.n) for _ in range(count)]
@@ -115,12 +102,10 @@ def random_voting_rule(rng: random.Random | int, ground: GroundSet) -> SetFuncti
         if total == 0:
             weights = (1,) * ground.n
             total = ground.n
-        spec = WeightedVotingSpec(ground, weights, quota=rng.randint(1, total))
-        return weighted_voting(spec)
+        return weighted_voting(ground, weights, rng.randint(1, total))
     count = rng.randint(1, ground.n + 1)
     seeds = [rng.randrange(1, 1 << ground.n) for _ in range(count)] if ground.n else []
-    family = up_closure(ground, seeds or [ground.full])
-    return family.indicator()
+    return up_closure(ground, seeds or [ground.full])
 
 
 def random_merger(rng: random.Random | int, ground: GroundSet) -> MergerScenario:

@@ -5,8 +5,9 @@ ground set's label tuple corresponds to bit i.  Functions on the power set
 are dense tables of length 2**n indexed by mask, and every walk over the
 covering pairs (S, S + {i}) is one strided numpy pass per element i.  On
 top of that sit the product measure driven by one coin per element,
-monotonicity checks, up-closed families, and generators of increasing
-functions.
+monotonicity checks, and generators of increasing functions.  An up-closed
+family of subsets is its 0/1 indicator table: `up_closure` builds one from
+seed subsets, and a 0/1 table is up-closed exactly when it is increasing.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .numerics import Value, all_exact, geq_array, scaled_array, stable_sum
+from .numerics import Value, all_exact, float_array, geq_array, scaled_array, stable_sum
 
 MAX_GROUND = 20
 
@@ -104,13 +105,6 @@ class CoinVector:
             if not 0 <= v <= 1:
                 raise ValueError(f"probability out of range: {v!r}")
 
-    @classmethod
-    def uniform(cls, ground: GroundSet, prob: Value) -> "CoinVector":
-        return cls(ground, (prob,) * ground.n)
-
-    def of(self, label: str) -> Value:
-        return self.p[self.ground.index(label)]
-
     @property
     def exact(self) -> bool:
         return all_exact(self.p)
@@ -138,10 +132,6 @@ class SetFunction:
     @classmethod
     def constant(cls, ground: GroundSet, c: Value) -> "SetFunction":
         return cls(ground, (c,) * (1 << ground.n))
-
-    @classmethod
-    def from_callable(cls, ground: GroundSet, fn: Callable[[int], Value]) -> "SetFunction":
-        return cls(ground, (fn(m) for m in ground.subsets()))
 
     @property
     def exact(self) -> bool:
@@ -194,18 +184,14 @@ def _zeta(a: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-def _steps_hold(a: np.ndarray, n: int, holds: Callable) -> bool:
-    """True when holds(lo, hi) is true on every covering pair of the table."""
-    for i in range(n):
-        if not holds(*_halves(a, i)).all():
+def _is_monotone(f: SetFunction, increasing: bool) -> bool:
+    """True when every covering pair (S, S + {i}) steps up (or down)."""
+    table = scaled_array(f.values, f.exact)[0]
+    for i in range(f.ground.n):
+        lo, hi = _halves(table, i)
+        if not (geq_array(hi, lo) if increasing else geq_array(lo, hi)).all():
             return False
     return True
-
-
-def _is_monotone(f: SetFunction, increasing: bool) -> bool:
-    table = scaled_array(f.values, f.exact)[0]
-    holds = (lambda lo, hi: geq_array(hi, lo)) if increasing else geq_array
-    return _steps_hold(table, f.ground.n, holds)
 
 
 def is_increasing(f: SetFunction) -> bool:
@@ -222,40 +208,16 @@ def is_decreasing(f: SetFunction) -> bool:
     return _is_monotone(f, False)
 
 
-@dataclass(frozen=True)
-class MonotoneFamily:
-    """Up-closed family of subsets: every superset of a member is a member."""
-
-    ground: GroundSet
-    member: tuple[bool, ...]
-
-    def __init__(self, ground: GroundSet, member: Iterable[bool]):
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "member", tuple(bool(b) for b in member))
-        if len(self.member) != 1 << ground.n:
-            raise ValueError("membership table must have one entry per subset")
-        if not _steps_hold(np.array(self.member), ground.n, np.less_equal):
-            raise ValueError("family is not up-closed")
-
-    def __contains__(self, mask: int) -> bool:
-        return self.member[self.ground.check_mask(mask)]
-
-    def masks(self) -> list[int]:
-        return [m for m in self.ground.subsets() if self.member[m]]
-
-    def indicator(self) -> SetFunction:
-        return SetFunction(self.ground, (int(b) for b in self.member))
-
-
-def up_closure(ground: GroundSet, seeds: Iterable[int]) -> MonotoneFamily:
-    """Smallest up-closed family containing the given seed subsets."""
+def up_closure(ground: GroundSet, seeds: Iterable[int]) -> SetFunction:
+    """0/1 indicator, with int values, of the smallest up-closed family of
+    subsets (every superset of a member is a member) holding the seeds."""
     member = np.zeros(1 << ground.n, dtype=bool)
     for s in seeds:
         member[ground.check_mask(s)] = True
     for i in range(ground.n):
         lo, hi = _halves(member, i)
         hi |= lo
-    return MonotoneFamily(ground, member.tolist())
+    return SetFunction(ground, member.astype(int).tolist())
 
 
 def product_measure_table(p: CoinVector) -> list[Value]:
@@ -271,8 +233,10 @@ def expectation(f: SetFunction, p: CoinVector) -> Value:
     """E[f] under the product measure of p."""
     if f.ground != p.ground:
         raise ValueError("function and coins live on different ground sets")
-    tab = product_measure_table(p)
-    return stable_sum([v * w for v, w in zip(f.values, tab)])
+    values, weights = f.values, product_measure_table(p)
+    if not (f.exact and p.exact):
+        values, weights = float_array(values).tolist(), float_array(weights).tolist()
+    return stable_sum([v * w for v, w in zip(values, weights)])
 
 
 def _subset_weights(p: CoinVector, mask: int) -> dict[int, Value]:

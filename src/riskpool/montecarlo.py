@@ -7,11 +7,13 @@ same seed and sample count give bit-identical reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import CoinVector, SetFunction
+from .numerics import float_array
 from .partition_game import (
     GameSpec,
     StrategyProfile,
@@ -61,8 +63,14 @@ def _sample_products(
 
 
 def _report(vals: np.ndarray, samples: int, seed: int) -> EstimateReport:
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
+    # The sum and the squared deviations overflow long before the values
+    # do: scale values above 2**400 down by a power of two, which is exact,
+    # and scale the results back.  Smaller values are not touched.
+    shift = max(0, math.frexp(float(max(vals.max(), -vals.min())))[1] - 400)
+    if shift:
+        vals = np.ldexp(vals, -shift)
+    mean = math.ldexp(float(np.mean(vals)), shift)
+    stderr = math.ldexp(float(np.std(vals, ddof=1) / np.sqrt(samples)), shift)
     return EstimateReport(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 
@@ -97,7 +105,7 @@ def estimate_convolution(
         raise ValueError("at least two samples required")
     rng = generator(seed)
     n = f.ground.n
-    probs = np.array([float(v) for v in p.p])
+    probs = float_array(p.p)
     # Two full coin matrices are always drawn, so the draw count does not
     # depend on the coupled set; the shared coin just reuses matrix one.
     coins1 = rng.random((samples, n)) < probs
@@ -107,7 +115,5 @@ def estimate_convolution(
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     s1 = coins1.astype(np.int64) @ bits
     s2 = coins2.astype(np.int64) @ bits
-    fa = np.array([float(v) for v in f.values])
-    ga = np.array([float(v) for v in g.values])
-    vals = fa[s1] * ga[s2]
+    vals = float_array(f.values)[s1] * float_array(g.values)[s2]
     return _report(vals, samples, seed)

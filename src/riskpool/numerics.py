@@ -11,7 +11,9 @@ operand is, and one float anywhere makes it float.  The numpy kernels keep
 one format for both domains, decided here: `scaled_array` turns a table
 into integers over one scale (float64 over 1 in float mode) and
 `coin_ratio` a coin into win / den ((p, 1) in float mode), so each kernel
-runs one path and an exact result is divided by its scale once.
+runs one path and an exact result is divided by its scale once.  A float
+call converts its exact operands through `float_array`, so an exact value
+beyond float range is a ValueError, not an OverflowError.
 """
 
 from __future__ import annotations
@@ -103,11 +105,20 @@ def stable_sum(terms: Sequence[Value]) -> Value:
     return math.fsum(float(t) for t in terms)
 
 
+def float_array(values: Sequence[Value]) -> np.ndarray:
+    """Values as float64, each rounded once; an exact value beyond float
+    range raises ValueError."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError("an exact value is beyond float range") from None
+
+
 def scaled_array(values: Sequence[Value], exact: bool) -> tuple[np.ndarray, int]:
     """Values as one array over a scale: exact values are object-dtype
     integers over the lcm of their denominators, others float64 over 1."""
     if not exact:
-        return np.array(values, dtype=float), 1
+        return float_array(values), 1
     lcm = math.lcm(*(v.denominator for v in values))
     return np.array([v.numerator * (lcm // v.denominator) for v in values], dtype=object), lcm
 

@@ -266,9 +266,6 @@ class GameSpec:
     def supply_of(self, h: str) -> tuple[str, ...]:
         return self.supply[self.h_index(h)]
 
-    def payoff_fn(self, k: str, h: str) -> SetFunction:
-        return self.payoffs[self.k_index(k)][self.h_index(h)]
-
     def strategies(self, h: str) -> list[PartitionStrategy]:
         return enumerate_partitions(self.supply_of(h), owner=h)
 

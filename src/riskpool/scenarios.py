@@ -5,20 +5,20 @@ of resources whose random availability is pooled (one coin shared by both
 sides) while the rest stay independent, and wants the S maximizing an
 objective of the form (f * g)(S).  Because the objectives here are built
 from increasing functions, the full pool S = H is always among the optima.
+
+The strike and merger models couple two 0/1 increasing functions: the
+indicators of the critical site families, and the two boards' voting
+rules.  Both are plain `SetFunction` tables, checked on construction;
+`weighted_voting` builds a threshold rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .convolution import convolve
-from .lattice import (
-    CoinVector,
-    GroundSet,
-    MonotoneFamily,
-    SetFunction,
-    is_increasing,
-)
+from .lattice import CoinVector, GroundSet, SetFunction, is_increasing
 from .numerics import Value, argmax_ties, geq, is_exact, power, stable_sum
 
 
@@ -91,20 +91,23 @@ def production_table(sc: TwoInputProduction) -> SetFunction:
 class MilitaryScenario:
     """Two strike plans succeed when the surviving sites hit a critical family.
 
-    c_red and c_blue are up-closed families of site subsets; a plan succeeds
-    exactly when the set of available sites (for the coordinate assigned to
-    it) lies in its family.  Pooling sites in S makes their availability
-    common to both plans.
+    c_red and c_blue are the 0/1 indicators of up-closed families of site
+    subsets, so 0/1 increasing functions; a plan succeeds exactly when the
+    set of available sites (for the coordinate assigned to it) lies in its
+    family.  Pooling sites in S makes their availability common to both
+    plans.
     """
 
     ground: GroundSet
-    c_red: MonotoneFamily
-    c_blue: MonotoneFamily
+    c_red: SetFunction
+    c_blue: SetFunction
     p: CoinVector
 
     def __post_init__(self):
-        if self.c_red.ground != self.ground or self.c_blue.ground != self.ground:
-            raise ValueError("critical families live on a different ground set")
+        for f in (self.c_red, self.c_blue):
+            if f.ground != self.ground:
+                raise ValueError("critical families live on a different ground set")
+            _check_increasing_indicator(f, "critical family", "is not up-closed")
         if self.p.ground != self.ground:
             raise ValueError("coin vector lives on a different ground set")
 
@@ -116,8 +119,7 @@ def military_tables(sc: MilitaryScenario) -> tuple[SetFunction, SetFunction, Set
     (1-f) * (1-g), which equals (f-1) * (g-1) and is therefore increasing
     in S as well; exactly-one is the complement and decreases in S.
     """
-    f = sc.c_red.indicator()
-    g = sc.c_blue.indicator()
+    f, g = sc.c_red, sc.c_blue
     both = convolve(f, g, sc.p)
     neither = convolve(1 - f, 1 - g, sc.p)
     one = 1 - both - neither
@@ -147,13 +149,17 @@ class MergerScenario:
             raise ValueError("coin vector lives on a different ground set")
 
 
-def _check_voting_rule(f: SetFunction) -> None:
+def _check_increasing_indicator(f: SetFunction, name: str, not_increasing: str) -> None:
     if any(v != 0 and v != 1 for v in f.values):
-        raise ValueError("voting rule must be 0/1 valued")
+        raise ValueError(f"{name} must be 0/1 valued")
+    if not is_increasing(f):
+        raise ValueError(f"{name} {not_increasing}")
+
+
+def _check_voting_rule(f: SetFunction) -> None:
+    _check_increasing_indicator(f, "voting rule", "must be increasing")
     if f.values[0] != 0 or f.values[-1] != 1:
         raise ValueError("voting rule must reject {} and accept the full set")
-    if not is_increasing(f):
-        raise ValueError("voting rule must be increasing")
 
 
 def merger_table(sc: MergerScenario) -> SetFunction:
@@ -161,31 +167,17 @@ def merger_table(sc: MergerScenario) -> SetFunction:
     return convolve(sc.f_a, sc.f_b, sc.p)
 
 
-@dataclass(frozen=True)
-class WeightedVotingSpec:
-    """Threshold voting rule: yes iff the present weight reaches the quota."""
-
-    ground: GroundSet
-    weights: tuple[Value, ...]
-    quota: Value
-
-    def __init__(self, ground, weights, quota):
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "weights", tuple(weights))
-        object.__setattr__(self, "quota", quota)
-        if len(self.weights) != ground.n:
-            raise ValueError("one weight per voter required")
-        if any(not geq(w, 0) for w in self.weights):
-            raise ValueError("voter weights must be nonnegative")
-        total = stable_sum(self.weights)
-        if not 0 < self.quota <= total:
-            raise ValueError("quota must lie in (0, total weight]")
-
-
-def weighted_voting(spec: WeightedVotingSpec) -> SetFunction:
-    """The 0/1 rule of the weighted-voting spec."""
-    totals = _additive_table(spec.ground, spec.weights)
-    return SetFunction(spec.ground, (int(geq(t, spec.quota)) for t in totals))
+def weighted_voting(ground: GroundSet, weights: Sequence[Value], quota: Value) -> SetFunction:
+    """Threshold voting rule: yes (1) iff the present weight reaches the quota."""
+    weights = tuple(weights)
+    if len(weights) != ground.n:
+        raise ValueError("one weight per voter required")
+    if any(not geq(w, 0) for w in weights):
+        raise ValueError("voter weights must be nonnegative")
+    if not 0 < quota <= stable_sum(weights):
+        raise ValueError("quota must lie in (0, total weight]")
+    totals = _additive_table(ground, weights)
+    return SetFunction(ground, (int(geq(t, quota)) for t in totals))
 
 
 def optimal_strategies(table: SetFunction) -> list[int]:

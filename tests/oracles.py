@@ -31,7 +31,7 @@ def table_of(fn):
 
 def probs_of(p):
     """CoinVector -> {label: probability}."""
-    return {h: p.of(h) for h in p.ground.labels}
+    return dict(zip(p.ground.labels, p.p))
 
 
 def subset_probability(probs, subset):

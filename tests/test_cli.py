@@ -3,6 +3,7 @@ round-trips between reports and the library."""
 
 import copy
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from riskpool import cli
 from riskpool.cli import main
 from riskpool.convolution import convolve
 from riskpool.lattice import CoinVector, GroundSet, SetFunction
+from riskpool.montecarlo import EstimateReport
 from riskpool.numerics import parse_value, power
 from riskpool.partition_game import DominanceCertificate, GameSpec
 
@@ -517,7 +519,7 @@ def test_non_up_closed_members_rejected(tmp_path, capsys):
     )
     code, _, err = _run(capsys, ["scenario", "--config", cfg])
     assert code == 2
-    assert "up-closed" in err
+    assert "red.members: family is not up-closed" in err
 
 
 def test_config_error_paths(tmp_path, capsys):
@@ -602,6 +604,34 @@ def test_game_payoffs_beyond_float_range_are_a_config_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "payoffs of 'h1'" in err and "float range" in err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_simulated_estimates_of_huge_payoffs_are_finite(tmp_path, capsys, monkeypatch):
+    # Squared deviations of 1e200 and the sum of 1000 samples near 1.7e308
+    # leave float range; the estimates do not.
+    cfg = {
+        "kind": "game",
+        "mode": "float",
+        "commodities": ["a"],
+        "suppliers": ["h1"],
+        "p": {"h1": 0.5},
+        "supply": {"h1": ["a"]},
+    }
+    for table, samples in (({"": 0, "h1": 1e200}, "50"), ({"": 1e307, "h1": 1.7e308}, "1000")):
+        path = _write(tmp_path, "c.json", dict(cfg, payoffs={"a": {"table": table}}))
+        code, out, _ = _run(capsys, ["game", "simulate", "--samples", samples, "--config", path])
+        assert code == 0
+        est = json.loads(out, parse_constant=_refuse_constant)["per_player"]["h1"]["estimate"]
+        assert 0 < est["stderr"] < est["mean"] < 1.7e308
+    # A report that still holds a non-finite float is refused, not printed.
+    monkeypatch.setattr(cli, "estimate_payoff", lambda *a: EstimateReport(math.inf, 0.0, 50, 0))
+    code, out, err = _run(capsys, ["game", "simulate", "--samples", "50", "--config", path])
+    assert (code, out) == (2, "")
+    assert "JSON" in err
 
 
 @pytest.mark.parametrize("change", [{"alpha": 1000.0}, {"x": {"1": 1e300}, "alpha": 2}])

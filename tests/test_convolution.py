@@ -73,7 +73,7 @@ def test_degenerate_coins():
     f = SetFunction(g, (1, 2, 3, 4))
     gg = SetFunction(g, (5, 6, 7, 8))
     for prob, idx in ((0, 0), (1, 3)):
-        p = CoinVector.uniform(g, prob)
+        p = CoinVector(g, (prob,) * g.n)
         table = convolve(f, gg, p)
         assert all(v == f.values[idx] * gg.values[idx] for v in table.values)
 
@@ -137,8 +137,8 @@ def test_label_permutation_invariance():
                     out |= 1 << old_bit
             return out
 
-        f2 = SetFunction.from_callable(g2, lambda m: f.values[relabel(m)])
-        gg2 = SetFunction.from_callable(g2, lambda m: gg.values[relabel(m)])
+        f2 = SetFunction(g2, (f.values[relabel(m)] for m in g2.subsets()))
+        gg2 = SetFunction(g2, (gg.values[relabel(m)] for m in g2.subsets()))
         p2 = CoinVector(g2, (p.p[i] for i in perm))
         table2 = convolve(f2, gg2, p2)
         for m in g2.subsets():
@@ -297,7 +297,7 @@ def test_size_caps():
         _ground(MAX_GROUND + 1)
     g11 = _ground(11)
     f11 = SetFunction.constant(g11, 1)
-    p11 = CoinVector.uniform(g11, 0.5)
+    p11 = CoinVector(g11, (0.5,) * g11.n)
     with pytest.raises(ValueError):
         convolve_bruteforce(f11, f11, p11, 0)
 
@@ -317,11 +317,11 @@ def test_float_n17_increasing_inputs():
 def test_mismatched_grounds_rejected():
     f = SetFunction.constant(_ground(2), 1)
     gg = SetFunction.constant(_ground(3), 1)
-    p = CoinVector.uniform(_ground(2), 0.5)
+    p = CoinVector(_ground(2), (0.5,) * 2)
     with pytest.raises(ValueError):
         convolve(f, gg, p)
     with pytest.raises(ValueError):
-        convolve(f, f, CoinVector.uniform(_ground(3), 0.5))
+        convolve(f, f, CoinVector(_ground(3), (0.5,) * 3))
 
 
 # -- the coarsening inequality for many functions ------------------------------

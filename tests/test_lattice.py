@@ -11,7 +11,6 @@ from riskpool.convolution import convolve
 from riskpool.lattice import (
     CoinVector,
     GroundSet,
-    MonotoneFamily,
     SetFunction,
     all_monotone_indicators,
     expectation,
@@ -24,6 +23,7 @@ from riskpool.lattice import (
     up_closure,
 )
 from riskpool.numerics import ABS_TOL, REL_TOL, close, geq
+from riskpool.scenarios import MilitaryScenario
 
 
 def _ground(n):
@@ -81,7 +81,7 @@ def test_setfunction_algebra():
     assert (f * 2).values == (0, 2, 4, 6)
     assert (-f).values == (0, -1, -2, -3)
     assert f.map(lambda v: v * v).values == (0, 1, 4, 9)
-    assert SetFunction.from_callable(g, lambda m: m % 3).values == (0, 1, 2, 0)
+    assert SetFunction(g, (m % 3 for m in g.subsets())).values == (0, 1, 2, 0)
     assert SetFunction.constant(g, 5).values == (5, 5, 5, 5)
     assert f(3) == 3
     with pytest.raises(ValueError):
@@ -192,8 +192,8 @@ def test_coin_vector_validation():
         CoinVector(g, (0.5, 1.5))
     with pytest.raises(ValueError):
         CoinVector(g, (-0.1, 0.5))
-    p = CoinVector.uniform(g, Fraction(1, 4))
-    assert p.of("h1") == Fraction(1, 4)
+    p = CoinVector(g, (Fraction(1, 4), Fraction(1, 2)))
+    assert p.p[g.index("h1")] == Fraction(1, 2)
 
 
 # -- product measure ---------------------------------------------------------
@@ -213,7 +213,7 @@ def test_product_measure_worked_example():
 def test_expectation_worked_example():
     g = _ground(2)
     p = CoinVector(g, (0.3, 0.8))
-    size = SetFunction.from_callable(g, lambda m: bin(m).count("1"))
+    size = SetFunction(g, (bin(m).count("1") for m in g.subsets()))
     assert close(expectation(size, p), 1.1)
 
 
@@ -243,7 +243,7 @@ def _pair_law(p, coupled):
 
 def test_pair_measure_worked_example():
     g = _ground(2)
-    p = CoinVector.uniform(g, 0.5)
+    p = CoinVector(g, (0.5,) * g.n)
     d = _pair_law(p, g.bit("h0"))
     # shared coin on h0 heads, free coins on h1 land tails then heads
     assert close(d[(0b01, 0b11)], 0.125)
@@ -301,35 +301,35 @@ def test_pair_measure_endpoints():
 
 def test_up_closure_and_membership():
     g = GroundSet(["a", "b", "c"])
-    fam = up_closure(g, [g.mask_of(["a"])])
-    assert g.mask_of(["a"]) in fam
-    assert g.mask_of(["a", "c"]) in fam
-    assert g.mask_of(["b", "c"]) not in fam
-    assert 0 not in fam
-    assert sorted(fam.masks()) == [1, 3, 5, 7]
-    ind = fam.indicator()
+    ind = up_closure(g, [g.mask_of(["a"])])
+    assert [m for m in g.subsets() if ind.values[m]] == [1, 3, 5, 7]
+    assert all(type(v) is int for v in ind.values)
     assert is_increasing(ind)
-    assert set(ind.values) <= {0, 1}
     rng = random.Random(63)
     for n in range(8):
         g = _ground(n)
         for _ in range(6):
             seeds = [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))]
-            assert up_closure(g, seeds).member == _superset_closure(n, seeds)
+            assert up_closure(g, seeds).values == _superset_closure(n, seeds)
 
 
 def _superset_closure(n, seeds):
-    """Membership of every mask in the family of supersets of the seeds."""
-    return tuple(any(s & ~m == 0 for s in seeds) for m in range(1 << n))
+    """0/1 membership of every mask in the family of supersets of the seeds."""
+    return tuple(int(any(s & ~m == 0 for s in seeds)) for m in range(1 << n))
 
 
 def test_monotone_family_rejects_non_up_closed():
+    def military(g, table):
+        family = SetFunction(g, table)
+        return MilitaryScenario(g, family, family, CoinVector(g, (0.5,) * g.n))
+
     g = _ground(2)
-    table = [False, True, False, False]  # {h0} in, {h0,h1} out
-    with pytest.raises(ValueError):
-        MonotoneFamily(g, table)
-    # a table is accepted iff it equals the closure of its members: check
-    # random tables, and closed ones with one mask dropped or added
+    with pytest.raises(ValueError, match="not up-closed"):
+        military(g, [0, 1, 0, 0])  # {h0} in, {h0,h1} out
+    with pytest.raises(ValueError, match="0/1 valued"):
+        military(g, [0, 1, 1, 2])
+    # a 0/1 table is accepted iff it equals the closure of its members:
+    # check random tables, and closed ones with one mask dropped or added
     rng = random.Random(64)
     verdicts = set()
     for n in range(7):
@@ -337,17 +337,17 @@ def test_monotone_family_rejects_non_up_closed():
         for _ in range(10):
             closed = list(_superset_closure(n, [rng.randrange(1 << n) for _ in range(2)]))
             flipped = list(closed)
-            flipped[rng.randrange(1 << n)] ^= True
-            coin = [rng.random() < 0.5 for _ in g.subsets()]
+            flipped[rng.randrange(1 << n)] ^= 1
+            coin = [int(rng.random() < 0.5) for _ in g.subsets()]
             for table in (closed, flipped, coin):
                 members = [m for m in g.subsets() if table[m]]
                 up_closed = _superset_closure(n, members) == tuple(table)
                 verdicts.add(up_closed)
                 if up_closed:
-                    assert MonotoneFamily(g, table).member == tuple(table)
+                    assert military(g, table).c_red.values == tuple(table)
                 else:
                     with pytest.raises(ValueError, match="not up-closed"):
-                        MonotoneFamily(g, table)
+                        military(g, table)
     assert verdicts == {True, False}
 
 

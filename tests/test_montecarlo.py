@@ -96,7 +96,7 @@ def test_estimate_convolution_draw_count_independent_of_coupling():
     # so the fully-coupled estimate reuses matrix one entirely
     g = GroundSet(["x", "y"])
     f = SetFunction(g, (0, 1, 1, 2))
-    p = CoinVector.uniform(g, 0.5)
+    p = CoinVector(g, (0.5,) * g.n)
     full = estimate_convolution(f, f, p, 3, 2000, 9)
     empty = estimate_convolution(f, f, p, 0, 2000, 9)
     assert full.samples == empty.samples == 2000
@@ -105,13 +105,15 @@ def test_estimate_convolution_draw_count_independent_of_coupling():
 
 
 def test_power_of_two_scaling_is_bitwise_linear():
+    # Also near the top of float range, where the squared deviations
+    # (2**600) and the sum of the samples (2**1020) leave it.
     spec = _simple_spec()
     profile = spec.finest_profile()
-    scaled = scaled_spec(spec, {"h": 2})
     base = estimate_payoff(spec, profile, "h", 20000, 77)
-    twice = estimate_payoff(scaled, profile, "h", 20000, 77)
-    assert twice.mean == 2 * base.mean
-    assert twice.stderr == 2 * base.stderr
+    for kappa in (2, 2**600, 2**1020):
+        scaled = estimate_payoff(scaled_spec(spec, {"h": kappa}), profile, "h", 20000, 77)
+        assert scaled.mean == kappa * base.mean
+        assert scaled.stderr == kappa * base.stderr
 
 
 def test_general_scaling_is_linear_within_tolerance():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskpool.convolution import convolve, harris_gap
+from riskpool.convolution import convolve, convolve_bruteforce, harris_gap
 from riskpool.lattice import (
     CoinVector,
     GroundSet,
@@ -27,6 +27,7 @@ from riskpool.numerics import (
     slack,
     stable_sum,
 )
+from riskpool.montecarlo import estimate_convolution
 from riskpool.partition_game import GameSpec, expected_payoff
 
 
@@ -117,6 +118,32 @@ def test_exact_power_size_is_checked_before_computing():
 
 
 # -- exactness is decided jointly ---------------------------------------------
+
+
+_ONE = GroundSet(["h"])
+_HUGE = SetFunction(_ONE, (0, 10**400))
+_HALF = CoinVector(_ONE, (0.5,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: convolve(_HUGE, _HUGE, _HALF),
+        lambda: is_increasing(SetFunction(_ONE, (0.5, 10**400))),
+        lambda: expectation(_HUGE, _HALF),
+        lambda: harris_gap(_HUGE, _HUGE, _HALF),
+        lambda: harris_gap(_HUGE, SetFunction(_ONE, (0.0, 1.0)), _HALF),
+        lambda: convolve_bruteforce(_HUGE, _HUGE, _HALF, 1),
+        lambda: estimate_convolution(_HUGE, _HUGE, _HALF, 1, 10, 0),
+    ],
+    ids=[
+        "convolve", "is_increasing", "expectation", "harris_gap", "harris_gap-float-g",
+        "convolve_bruteforce", "estimate_convolution",
+    ],
+)
+def test_exact_value_beyond_float_range_in_a_float_call_is_a_value_error(call):
+    with pytest.raises(ValueError, match="beyond float range"):
+        call()
 
 
 _WEIGHT = st.builds(Fraction, st.integers(0, 4), st.integers(1, 4))

@@ -1,13 +1,15 @@
-"""The package as a whole: its public names, its README examples, and its
-runtime dependencies."""
+"""The package as a whole: its public names and methods, its imports, its
+README examples, and its runtime dependencies."""
 
 import ast
+import inspect
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import riskpool
 from riskpool.cli import main
@@ -48,6 +50,12 @@ def _references() -> set[str]:
     return refs
 
 
+def _methods(cls) -> list[str]:
+    """The non-dunder methods and properties a class defines itself."""
+    kinds = (classmethod, staticmethod, property, types.FunctionType)
+    return [name for name, v in vars(cls).items() if not name.startswith("__") and isinstance(v, kinds)]
+
+
 def test_public_names_are_used_by_the_package():
     names = riskpool.__all__
     assert names == sorted(set(names))
@@ -56,6 +64,43 @@ def test_public_names_are_used_by_the_package():
     assert set(PAPER_OBJECTS) <= set(names)
     refs = _references()
     unused = [name for name in names if name not in refs and name not in PAPER_OBJECTS]
+    assert unused == []
+    # The same for the methods of the public classes.  A check by name
+    # cannot tell a method from another object's attribute of the same
+    # name: a method called `uniform` would pass because of `rng.uniform`.
+    classes = [getattr(riskpool, name) for name in names if inspect.isclass(getattr(riskpool, name))]
+    unused = [f"{cls.__name__}.{m}" for cls in classes for m in _methods(cls) if m not in refs]
+    assert unused == []
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names in a string annotation such as `other: "SetFunction | Value"`."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name)}
+    return set()
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in _modules():
+        tree = ast.parse(path.read_text())
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+                used |= _annotation_names(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+                used |= _annotation_names(node.returns)
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
     assert unused == []
 
 

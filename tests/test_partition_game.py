@@ -160,7 +160,7 @@ def test_symmetric_flag_is_checked_not_trusted():
     other = SetFunction(g, (0, 1, 2, 3))
     spec = GameSpec.build(
         ["k"], ["h1", "h2"], {"h1": ["k"], "h2": []},
-        CoinVector.uniform(g, F(1, 2)), {"k": f},
+        CoinVector(g, (F(1, 2),) * g.n), {"k": f},
     )
     assert spec.symmetric
     assert GameSpec(spec.commodities, spec.suppliers, spec.supply, spec.p, ((f, f),)).symmetric
@@ -272,7 +272,7 @@ def test_commodity_marginals_unchanged_by_merging_blocks():
                 m1 = expected_payoff(marginal, p1, target)
                 m2 = expected_payoff(marginal, p2, target)
                 assert m1 == m2
-                assert m1 == (spec.p.of(target) if k in spec.supply_of(target) else 0)
+                assert m1 == (spec.p.p[spec.h_index(target)] if k in spec.supply_of(target) else 0)
 
 
 # -- expected payoffs ------------------------------------------------------------
@@ -287,10 +287,10 @@ def test_single_supplier_two_commodity_values():
 def _oracle_payoff(spec, profile, h):
     """h's payoff under the profile from the independent block-pattern oracle."""
     blocks = [(s.owner, frozenset(b)) for s in profile.strategies for b in s.blocks]
-    p_of = {g: spec.p.of(g) for g in spec.suppliers}
+    p_of = {g: spec.p.p[spec.h_index(g)] for g in spec.suppliers}
     payoff = {}
     for k in spec.commodities:
-        fn = spec.payoff_fn(k, h)
+        fn = spec.payoffs[spec.k_index(k)][spec.h_index(h)]
         for m in fn.ground.subsets():
             payoff[(k, frozenset(fn.ground.labels_of(m)))] = fn.values[m]
     return oracles.game_payoff(blocks, p_of, payoff, h)
@@ -517,7 +517,8 @@ def test_finest_profile_payoff_factorizes_up_to_the_block_cap(monkeypatch, exact
         want = 1
         for k in spec.commodities:
             coins = tuple(x if k in own else 0 for x, own in zip(spec.p.p, spec.supply))
-            want *= expectation(spec.payoff_fn(k, h), CoinVector(spec.p.ground, coins))
+            fn = spec.payoffs[spec.k_index(k)][hi]
+            want *= expectation(fn, CoinVector(spec.p.ground, coins))
         table_reads.clear()
         value = expected_payoff(spec, profile, h)
         assert table_reads == [hi]
@@ -614,10 +615,10 @@ def test_conditional_matches_oracle():
         conditioning[h][1] = None
         payoff = {}
         for k in spec.commodities:
-            fn = spec.payoff_fn(k, h)
+            fn = spec.payoffs[spec.k_index(k)][spec.h_index(h)]
             for m in fn.ground.subsets():
                 payoff[(k, frozenset(fn.ground.labels_of(m)))] = fn.values[m]
-        p_of = {g: spec.p.of(g) for g in spec.suppliers}
+        p_of = {g: spec.p.p[spec.h_index(g)] for g in spec.suppliers}
         want = oracles.conditional_game_payoffs(
             blocks, p_of, payoff, h, offset, offset + 1, fixed_bits
         )
@@ -757,7 +758,7 @@ def test_profile_space_cap():
         ks,
         ["h1", "h2", "h3"],
         {"h1": ks, "h2": ks, "h3": ks},
-        CoinVector.uniform(g, F(1, 2)),
+        CoinVector(g, (F(1, 2),) * g.n),
         {k: fn for k in ks},
     )
     # 4140 partitions per player -> 4140^3 profiles, far over the cap

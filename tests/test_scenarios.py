@@ -27,7 +27,6 @@ from riskpool.scenarios import (
     MergerScenario,
     MilitaryScenario,
     TwoInputProduction,
-    WeightedVotingSpec,
     merger_table,
     military_tables,
     optimal_strategies,
@@ -54,7 +53,7 @@ def test_production_single_supplier_worked_example():
 
 def test_production_factors_are_powers_of_sums():
     g = _ground(2)
-    sc = TwoInputProduction(g, (4, 5), (9, 7), 2, 1, CoinVector.uniform(g, Fraction(1, 2)))
+    sc = TwoInputProduction(g, (4, 5), (9, 7), 2, 1, CoinVector(g, (Fraction(1, 2),) * g.n))
     f1, f2 = production_factors(sc)
     assert f1.values == (0, 16, 25, 81)
     assert f2.values == (0, 9, 7, 16)
@@ -63,7 +62,7 @@ def test_production_factors_are_powers_of_sums():
 
 def test_production_certain_delivery_is_constant():
     g = _ground(2)
-    sc = TwoInputProduction(g, (1, 2), (3, 4), 0.5, 1.5, CoinVector.uniform(g, 1))
+    sc = TwoInputProduction(g, (1, 2), (3, 4), 0.5, 1.5, CoinVector(g, (1,) * g.n))
     table = production_table(sc)
     assert all(close(v, table.values[0]) for v in table.values)
 
@@ -139,7 +138,7 @@ def test_military_disjoint_networks_decouple():
     g = GroundSet(["r1", "r2", "b1"])
     red = up_closure(g, [g.mask_of(["r1", "r2"])])
     blue = up_closure(g, [g.mask_of(["b1"])])
-    sc = MilitaryScenario(g, red, blue, CoinVector.uniform(g, Fraction(2, 3)))
+    sc = MilitaryScenario(g, red, blue, CoinVector(g, (Fraction(2, 3),) * g.n))
     both, _, _ = military_tables(sc)
     assert all(v == both.values[0] for v in both.values)
 
@@ -165,8 +164,8 @@ def test_military_matches_oracle():
         g = _ground(n)
         sc = random_military(rng, g)
         both, neither, one = military_tables(sc)
-        red = {frozenset(g.labels_of(m)) for m in sc.c_red.masks()}
-        blue = {frozenset(g.labels_of(m)) for m in sc.c_blue.masks()}
+        red = {frozenset(g.labels_of(m)) for m in g.subsets() if sc.c_red.values[m]}
+        blue = {frozenset(g.labels_of(m)) for m in g.subsets() if sc.c_blue.values[m]}
         probs = oracles.probs_of(sc.p)
         for m in g.subsets():
             wb, wn, wo = oracles.military_probs(red, blue, probs, frozenset(g.labels_of(m)))
@@ -181,8 +180,7 @@ def test_military_is_convolution_of_indicators():
         n = rng.randint(1, 4)
         sc = random_military(rng, _ground(n))
         both, neither, _ = military_tables(sc)
-        f = sc.c_red.indicator()
-        g = sc.c_blue.indicator()
+        f, g = sc.c_red, sc.c_blue
         assert both.values == convolve(f, g, sc.p).values
         assert neither.values == convolve(1 - f, 1 - g, sc.p).values
 
@@ -193,7 +191,7 @@ def test_military_is_convolution_of_indicators():
 def test_merger_two_shareholder_worked_example():
     g = _ground(2)
     nonempty = SetFunction(g, (0, 1, 1, 1))
-    sc = MergerScenario(g, nonempty, nonempty, CoinVector.uniform(g, 0.5))
+    sc = MergerScenario(g, nonempty, nonempty, CoinVector(g, (0.5,) * g.n))
     table = merger_table(sc)
     assert close(table(0), 0.5625)
     assert close(table(g.full), 0.75)
@@ -238,7 +236,7 @@ def test_merger_matches_oracle():
 
 def test_merger_rejects_bad_voting_rules():
     g = _ground(2)
-    p = CoinVector.uniform(g, 0.5)
+    p = CoinVector(g, (0.5,) * g.n)
     good = SetFunction(g, (0, 1, 1, 1))
     with pytest.raises(ValueError):
         MergerScenario(g, SetFunction(g, (1, 1, 1, 1)), good, p)  # empty set wins
@@ -255,15 +253,15 @@ def test_merger_rejects_bad_voting_rules():
 
 def test_weighted_voting_small_rules():
     g = _ground(2)
-    f = weighted_voting(WeightedVotingSpec(g, (1, 1), 1))
+    f = weighted_voting(g, (1, 1), 1)
     assert f.values == (0, 1, 1, 1)
-    f = weighted_voting(WeightedVotingSpec(g, (1, 1), 2))
+    f = weighted_voting(g, (1, 1), 2)
     assert f.values == (0, 0, 0, 1)
 
 
 def test_weighted_voting_three_player_example():
     g = GroundSet(["s1", "s2", "s3"])
-    f = weighted_voting(WeightedVotingSpec(g, (2, 1, 1), 3))
+    f = weighted_voting(g, (2, 1, 1), 3)
     winners = {g.labels_of(m) for m in g.subsets() if f.values[m] == 1}
     assert winners == {("s1", "s2"), ("s1", "s3"), ("s1", "s2", "s3")}
     want = oracles.voting_table({"s1": 2, "s2": 1, "s3": 1}, 3)
@@ -273,14 +271,16 @@ def test_weighted_voting_three_player_example():
 
 def test_weighted_voting_quota_bounds():
     g = _ground(2)
-    with pytest.raises(ValueError):
-        WeightedVotingSpec(g, (1, 1), 0)
-    with pytest.raises(ValueError):
-        WeightedVotingSpec(g, (1, 1), 3)
-    with pytest.raises(ValueError):
-        WeightedVotingSpec(g, (-1, 1), 1)
+    with pytest.raises(ValueError, match=r"^quota must lie in \(0, total weight\]$"):
+        weighted_voting(g, (1, 1), 0)
+    with pytest.raises(ValueError, match=r"^quota must lie in \(0, total weight\]$"):
+        weighted_voting(g, (1, 1), 3)
+    with pytest.raises(ValueError, match="^voter weights must be nonnegative$"):
+        weighted_voting(g, (-1, 1), 1)
+    with pytest.raises(ValueError, match="^one weight per voter required$"):
+        weighted_voting(g, (1,), 1)
     # quota exactly at the total weight means unanimity
-    f = weighted_voting(WeightedVotingSpec(g, (1, 2), 3))
+    f = weighted_voting(g, (1, 2), 3)
     assert f.values == (0, 0, 0, 1)
 
 
