@@ -21,7 +21,6 @@ from .lattice import (
     is_decreasing,
     is_increasing,
     random_increasing,
-    submasks,
     up_closure,
 )
 from .montecarlo import (
@@ -105,7 +104,6 @@ __all__ = [
     "production_table",
     "random_increasing",
     "scaled_spec",
-    "submasks",
     "up_closure",
     "weighted_voting",
 ]

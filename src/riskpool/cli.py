@@ -31,6 +31,7 @@ from .lattice import (
     CoinVector,
     GroundSet,
     SetFunction,
+    all_monotone_indicators,
     expectation,
     from_moebius_weights,
     is_decreasing,
@@ -690,9 +691,7 @@ def _cmd_game_simulate(args) -> int:
 # the certificate is None while the property holds.
 
 
-def _verify_monotone_exhaustive(seed: int, max_ground: int):
-    from .lattice import all_monotone_indicators
-
+def _verify_monotone_exhaustive(max_ground: int):
     grid = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     for n in range(1, min(3, max_ground) + 1):
         ground = GroundSet([f"h{i}" for i in range(n)])
@@ -828,7 +827,7 @@ def _verify_scaling(seed: int):
             yield 1, None
 
 
-def _verify_montecarlo(seed: int, samples: int):
+def _verify_montecarlo(seed: int, samples: int, max_ground: int):
     rng = random.Random(seed)
     for idx in range(10):
         if idx % 2 == 0:
@@ -838,7 +837,7 @@ def _verify_montecarlo(seed: int, samples: int):
             exact = float(expected_payoff(spec, profile, h))
             est = estimate_payoff(spec, profile, h, samples, seed + 1000 + idx)
         else:
-            n = rng.randint(1, 5)
+            n = rng.randint(1, min(5, max_ground))
             ground = GroundSet([f"h{i}" for i in range(n)])
             f = random_increasing(rng, ground, rng.randint(1, 2 * n + 2))
             g = random_increasing(rng, ground, rng.randint(1, 2 * n + 2))
@@ -870,7 +869,7 @@ def _sweep(name: str, steps) -> dict:
 
 def _cmd_verify(args) -> int:
     checks = [
-        _sweep("monotone_exhaustive", _verify_monotone_exhaustive(args.seed, args.max_ground)),
+        _sweep("monotone_exhaustive", _verify_monotone_exhaustive(args.max_ground)),
         _sweep("monotone_random", _verify_monotone_random(args.seed + 1, args.max_ground)),
         _sweep("oracle_equivalence", _verify_oracle(args.seed + 2, args.max_ground)),
         _sweep("single_element_identity", _verify_single_element_identity(args.seed + 3)),
@@ -878,7 +877,7 @@ def _cmd_verify(args) -> int:
         _sweep("game_dominance_nash", _verify_games(args.seed + 5)),
         _sweep("expost_identity", _verify_expost(args.seed + 6)),
         _sweep("scaling_invariance", _verify_scaling(args.seed + 7)),
-        _sweep("montecarlo_consistency", _verify_montecarlo(args.seed + 8, args.samples)),
+        _sweep("montecarlo_consistency", _verify_montecarlo(args.seed + 8, args.samples, args.max_ground)),
     ]
     ok = all(c["ok"] for c in checks)
     report = {

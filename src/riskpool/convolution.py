@@ -21,9 +21,10 @@ of Boolean Functions, ch. 8).  The sum over subsets of S is one fast zeta
 transform, so the table costs O(n 2**n).  It runs one path in both numeric
 modes: exact tables and coins enter as integers over a scale (see
 `numerics.scaled_array` and `numerics.coin_ratio`), float ones over 1.
-`convolve_bruteforce` evaluates the defining double sum for a single S, with
-its own exact and float routes, and exists to cross-check the fast route,
-never to be replaced by it.
+`convolve_bruteforce` evaluates the defining double sum for a single S over
+product-measure weight tables, one route in both modes with nothing of the
+kernel's, and exists to cross-check the fast route, never to be replaced
+by it.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from .lattice import (
     GroundSet,
     SetFunction,
     _halves,
-    _subset_weights,
     _zeta,
     expectation,
-    submasks,
+    product_measure_table,
 )
 from .numerics import Value, coin_ratio, float_array, scaled_array
 
@@ -101,60 +101,28 @@ def convolve(f: SetFunction, g: SetFunction, p: CoinVector) -> SetFunction:
     return SetFunction(ground, [Fraction(x, den) for x in out] if exact else out)
 
 
-def _bruteforce_float(f: SetFunction, g: SetFunction, p: CoinVector, coupled: int) -> float:
-    n = f.ground.n
-    comp = f.ground.full ^ coupled
-    # Dense per-mask weights: ws[m] covers the coupled coins of m (factor 1
-    # outside `coupled`), wc[m] the free coins of m.
-    ws = np.ones(1)
-    wc = np.ones(1)
-    for i, ph in enumerate(p.p):
-        phf = float(ph)
-        if coupled >> i & 1:
-            ws = np.concatenate([ws * (1.0 - phf), ws * phf])
-            wc = np.concatenate([wc, wc])
-        else:
-            ws = np.concatenate([ws, ws])
-            wc = np.concatenate([wc * (1.0 - phf), wc * phf])
-    fa, ga = float_array(f.values), float_array(g.values)
-    s1 = np.arange(1 << n)
-    free = np.array(list(submasks(comp)), dtype=np.int64)
-    s2 = (s1 & coupled)[:, None] | free[None, :]
-    inner = ga[s2] @ wc[free]
-    return float(np.dot(fa * ws * wc, inner))
-
-
 def convolve_bruteforce(f: SetFunction, g: SetFunction, p: CoinVector, coupled: int) -> Value:
     """(f * g)(coupled) by the defining double sum over subset pairs.
 
-    Reference implementation: enumerates every pair in the support of the
-    coupled measure and adds f(S1) g(S2) times its probability.  Capped at
-    10 elements.
+    Reference implementation: S1 is weighted by the product measure of p,
+    and S2 keeps the coupled part of S1 and tosses its own coins only
+    outside it.  Terms with f(S1) w(S1) = 0 or a zero weight for S2 are
+    skipped, and the rest summed as Python ints and Fractions when every
+    operand is exact, in float64 otherwise.  Capped at 10 elements.
     """
     ground = _common_ground(f, g, p)
     ground.check_mask(coupled)
     if ground.n > MAX_BRUTEFORCE:
         raise ValueError(f"convolve_bruteforce is limited to {MAX_BRUTEFORCE} elements")
-    if not (f.exact and g.exact and p.exact):
-        return _bruteforce_float(f, g, p, coupled)
-    comp = ground.full ^ coupled
-    shared = _subset_weights(p, coupled)
-    free = _subset_weights(p, comp)
-    acc: Value = 0
-    for s1 in ground.subsets():
-        w1 = shared.get(s1 & coupled)
-        if w1 is None:
-            continue
-        w2 = free.get(s1 & comp)
-        if w2 is None:
-            continue
-        fw = f.values[s1] * w1 * w2
-        if fw == 0:
-            continue
-        base = s1 & coupled
-        for r2, wr in free.items():
-            acc = acc + fw * g.values[base | r2] * wr
-    return acc
+    exact = f.exact and g.exact and p.exact
+    # A coupled element's second coin never lands: S2 = (S1 & coupled) | R.
+    free = CoinVector(ground, (0 if coupled >> i & 1 else ph for i, ph in enumerate(p.p)))
+    tables = (f.values, g.values, product_measure_table(p), product_measure_table(free))
+    fa, ga, w1, w2 = (np.array(t, dtype=object) if exact else float_array(t) for t in tables)
+    fw = fa * w1
+    s1, r = np.flatnonzero(fw), np.flatnonzero(w2)
+    out = fw[s1] @ (ga[(s1 & coupled)[:, None] | r] @ w2[r])
+    return out if exact else float(out)
 
 
 def harris_gap(f: SetFunction, g: SetFunction, p: CoinVector) -> Value:

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -77,16 +77,6 @@ class GroundSet:
         if not isinstance(mask, int) or mask < 0 or mask > self.full:
             raise ValueError(f"not a subset mask of this ground set: {mask!r}")
         return mask
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, descending, ending with 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 @dataclass(frozen=True)
@@ -237,24 +227,6 @@ def expectation(f: SetFunction, p: CoinVector) -> Value:
     if not (f.exact and p.exact):
         values, weights = float_array(values).tolist(), float_array(weights).tolist()
     return stable_sum([v * w for v, w in zip(values, weights)])
-
-
-def _subset_weights(p: CoinVector, mask: int) -> dict[int, Value]:
-    """Coin weights of all submasks of mask, zero-probability ones dropped."""
-    weights: dict[int, Value] = {0: 1}
-    for i, ph in enumerate(p.p):
-        if not mask >> i & 1:
-            continue
-        bit = 1 << i
-        q = 1 - ph
-        nxt: dict[int, Value] = {}
-        for m, w in weights.items():
-            if q != 0:
-                nxt[m] = w * q
-            if ph != 0:
-                nxt[m | bit] = w * ph
-        weights = nxt
-    return weights
 
 
 def from_moebius_weights(ground: GroundSet, weights: Mapping[int, Value]) -> SetFunction:

@@ -97,12 +97,18 @@ def estimate_convolution(
 
     This is the sampling route to (f * g)(coupled); it validates the exact
     table at sizes where the brute-force double sum is out of reach.
+    Sampling runs in float64, so tables whose largest product
+    max|f| max|g| is beyond float range are refused.
     """
     if f.ground != g.ground or f.ground != p.ground:
         raise ValueError("operands live on different ground sets")
     f.ground.check_mask(coupled)
     if samples < 2:
         raise ValueError("at least two samples required")
+    fa, ga = float_array(f.values), float_array(g.values)
+    # Python floats: the bound itself overflows to inf without a warning.
+    if not math.isfinite(float(np.abs(fa).max()) * float(np.abs(ga).max())):
+        raise ValueError("the largest product max|f| max|g| is beyond float range")
     rng = generator(seed)
     n = f.ground.n
     probs = float_array(p.p)
@@ -115,5 +121,5 @@ def estimate_convolution(
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     s1 = coins1.astype(np.int64) @ bits
     s2 = coins2.astype(np.int64) @ bits
-    vals = float_array(f.values)[s1] * float_array(g.values)[s2]
+    vals = fa[s1] * ga[s2]
     return _report(vals, samples, seed)

@@ -313,6 +313,27 @@ def test_verify_small_run_passes(tmp_path, capsys):
     assert captured.err.count(": ok") == 9
 
 
+def test_verify_max_ground_caps_every_convolution_sweep(monkeypatch, capsys):
+    # Every table that verify convolves, samples or sums by brute force,
+    # the Monte Carlo sweep's included, lives on at most 2 elements.
+    sizes = {}
+
+    def spy(name, fn):
+        def wrapped(f, *args):
+            sizes.setdefault(name, []).append(f.ground.n)
+            return fn(f, *args)
+
+        monkeypatch.setattr(f"riskpool.cli.{name}", wrapped)
+
+    for name in ("convolve", "estimate_convolution", "convolve_bruteforce"):
+        spy(name, getattr(cli, name))
+    code = main(["verify", "--max-ground", "2", "--samples", "2000", "--seed", "7"])
+    capsys.readouterr()
+    assert code == 0
+    assert sorted(sizes) == ["convolve", "convolve_bruteforce", "estimate_convolution"]
+    assert max(max(ns) for ns in sizes.values()) == 2
+
+
 def test_verify_reports_a_failing_sweep(monkeypatch, capsys):
     # a dominance check that always fails: the games sweep stops at its first
     # game, counts it, and certifies the first player; the other sweeps pass

@@ -190,7 +190,34 @@ def test_matches_coin_enumeration_oracle():
             assert table.values[mask] == want
 
 
-COINS = st.one_of(
+def test_bruteforce_matches_coin_enumeration_oracle():
+    # The double sum against the pair law tossed coin by coin, with no
+    # kernel in between, from the empty ground set up, degenerate coins
+    # included.  Exact tables give exact values, all-int inputs ints.
+    rng = random.Random(34)
+    for idx in range(30):
+        n = idx % 5
+        g = _ground(n)
+        if idx % 3 == 2:
+            f, gg = (SetFunction(g, [rng.randint(-3, 3) for _ in g.subsets()]) for _ in range(2))
+            p = CoinVector(g, [rng.randrange(2) for _ in range(n)])
+        else:
+            f, gg = (random_setfunction(rng, g, exact=idx % 3 == 0) for _ in range(2))
+            p = random_coin_vector(rng, g, exact=True, degenerate=True)
+        ftab, gtab = oracles.table_of(f), oracles.table_of(gg)
+        probs = oracles.probs_of(p)
+        for mask in g.subsets():
+            got = convolve_bruteforce(f, gg, p, mask)
+            want = oracles.coupled_mean(ftab, gtab, probs, frozenset(g.labels_of(mask)))
+            if not f.exact:
+                assert isinstance(got, float) and close(got, want)
+            elif idx % 3 == 2:
+                assert type(got) is int and got == want
+            else:
+                assert is_exact(got) and got == want
+
+
+COINS =st.one_of(
     st.sampled_from([0, 1, Fraction(0), Fraction(1)]),
     st.builds(Fraction, st.integers(1, 15), st.just(16)),
     st.fractions(min_value=0, max_value=1, max_denominator=12),

@@ -19,7 +19,6 @@ from riskpool.lattice import (
     is_increasing,
     product_measure_table,
     random_increasing,
-    submasks,
     up_closure,
 )
 from riskpool.numerics import ABS_TOL, REL_TOL, close, geq
@@ -58,13 +57,6 @@ def test_ground_set_rejects_bad_input():
         g.check_mask(2)
     with pytest.raises(ValueError):
         g.check_mask(-1)
-
-
-def test_submasks_descending_and_complete():
-    assert list(submasks(0b101)) == [0b101, 0b100, 0b001, 0b000]
-    assert list(submasks(0)) == [0]
-    got = set(submasks(0b1110))
-    assert got == {m for m in range(16) if m & ~0b1110 == 0}
 
 
 # -- set functions -----------------------------------------------------------

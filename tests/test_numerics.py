@@ -123,6 +123,7 @@ def test_exact_power_size_is_checked_before_computing():
 _ONE = GroundSet(["h"])
 _HUGE = SetFunction(_ONE, (0, 10**400))
 _HALF = CoinVector(_ONE, (0.5,))
+_BIG = SetFunction(_ONE, (0.0, 1e200))
 
 
 @pytest.mark.parametrize(
@@ -135,10 +136,12 @@ _HALF = CoinVector(_ONE, (0.5,))
         lambda: harris_gap(_HUGE, SetFunction(_ONE, (0.0, 1.0)), _HALF),
         lambda: convolve_bruteforce(_HUGE, _HUGE, _HALF, 1),
         lambda: estimate_convolution(_HUGE, _HUGE, _HALF, 1, 10, 0),
+        # finite float tables whose sampled product f(S1) g(S2) is not
+        lambda: estimate_convolution(_BIG, _BIG, _HALF, 1, 50, 0),
     ],
     ids=[
         "convolve", "is_increasing", "expectation", "harris_gap", "harris_gap-float-g",
-        "convolve_bruteforce", "estimate_convolution",
+        "convolve_bruteforce", "estimate_convolution", "estimate_convolution-product",
     ],
 )
 def test_exact_value_beyond_float_range_in_a_float_call_is_a_value_error(call):
