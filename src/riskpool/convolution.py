@@ -7,7 +7,8 @@ For functions f, g on the power set of H and a coin vector p,
 where mu_S shares one coin per element of S between the two coordinates and
 tosses two independent coins per element outside S.  The two extreme values
 recover the classical objects: at S = H the expectation of the product, at
-S = {} the product of expectations.
+S = {} the product of expectations: `partition_expectation` of (f, g) with
+one block and with two blocks, whose difference is `harris_gap`.
 
 Two routes are provided on purpose.  `convolve` computes the whole table in
 the p-biased Fourier basis prod over i in A of (x_i - p_i): a shared coin
@@ -29,6 +30,7 @@ by it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -48,10 +50,17 @@ from .numerics import Value, coin_ratio, float_array, scaled_array
 MAX_BRUTEFORCE = 10
 
 
-def _common_ground(f: SetFunction, g: SetFunction, p: CoinVector) -> GroundSet:
-    if f.ground != g.ground or f.ground != p.ground:
+def _common_ground(p: CoinVector, *fns: SetFunction) -> GroundSet:
+    if any(f.ground != p.ground for f in fns):
         raise ValueError("operands live on different ground sets")
-    return f.ground
+    return p.ground
+
+
+def _check_product_range(fa: np.ndarray, ga: np.ndarray) -> None:
+    # Python floats: the bound itself overflows to inf without a warning.
+    # It also bounds any sum of the products with weights summing to 1.
+    if not math.isfinite(float(np.abs(fa).max()) * float(np.abs(ga).max())):
+        raise ValueError("the largest product max|f| max|g| is beyond float range")
 
 
 def _coupled_sum(
@@ -85,7 +94,7 @@ def convolve(f: SetFunction, g: SetFunction, p: CoinVector) -> SetFunction:
     Exact when all inputs are exact, and then every entry is a Fraction;
     otherwise numpy float64, and entries are floats.
     """
-    ground = _common_ground(f, g, p)
+    ground = _common_ground(p, f, g)
     exact = f.exact and g.exact and p.exact
     # Each table is integers over its scale (the lcm of its denominators);
     # for the coin a/d the butterfly is scaled by d and the weights are
@@ -110,7 +119,7 @@ def convolve_bruteforce(f: SetFunction, g: SetFunction, p: CoinVector, coupled: 
     skipped, and the rest summed as Python ints and Fractions when every
     operand is exact, in float64 otherwise.  Capped at 10 elements.
     """
-    ground = _common_ground(f, g, p)
+    ground = _common_ground(p, f, g)
     ground.check_mask(coupled)
     if ground.n > MAX_BRUTEFORCE:
         raise ValueError(f"convolve_bruteforce is limited to {MAX_BRUTEFORCE} elements")
@@ -119,6 +128,8 @@ def convolve_bruteforce(f: SetFunction, g: SetFunction, p: CoinVector, coupled: 
     free = CoinVector(ground, (0 if coupled >> i & 1 else ph for i, ph in enumerate(p.p)))
     tables = (f.values, g.values, product_measure_table(p), product_measure_table(free))
     fa, ga, w1, w2 = (np.array(t, dtype=object) if exact else float_array(t) for t in tables)
+    if not exact:
+        _check_product_range(fa, ga)
     fw = fa * w1
     s1, r = np.flatnonzero(fw), np.flatnonzero(w2)
     out = fw[s1] @ (ga[(s1 & coupled)[:, None] | r] @ w2[r])
@@ -130,10 +141,10 @@ def harris_gap(f: SetFunction, g: SetFunction, p: CoinVector) -> Value:
 
     Nonnegative whenever f and g are both increasing.
     """
-    ground = _common_ground(f, g, p)
+    ground = _common_ground(p, f, g)
     if not (f.exact and g.exact):
         f, g = (SetFunction(ground, float_array(h.values).tolist()) for h in (f, g))
-    return expectation(f * g, p) - expectation(f, p) * expectation(g, p)
+    return partition_expectation((f, g), ((0, 1),), p) - partition_expectation((f, g), ((0,), (1,)), p)
 
 
 def partition_expectation(
@@ -154,9 +165,7 @@ def partition_expectation(
         raise ValueError("an index appears in two blocks")
     if set(indices) != set(range(len(functions))):
         raise ValueError("blocks do not cover the function indices")
-    for f in functions:
-        if f.ground != p.ground:
-            raise ValueError("operands live on different ground sets")
+    _common_ground(p, *functions)
     out: Value = 1
     for block in blocks:
         prod = functions[block[0]]

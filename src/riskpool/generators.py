@@ -1,10 +1,10 @@
 """Seeded random instances for property sweeps.
 
-Everything here is driven by a caller-supplied random.Random (or an int
-seed), so sweeps replay exactly.  The CLI's verify subcommand and the test
-suite share these builders; they produce arbitrary valid instances, with
-deliberate coverage of edge cases such as degenerate coins, empty supply
-sets, and commodities no one supplies.
+Everything here is driven by a caller-supplied random.Random, so sweeps
+replay exactly.  The CLI's verify subcommand and the test suite share
+these builders; they produce arbitrary valid instances, with deliberate
+coverage of edge cases such as degenerate coins, empty supply sets, and
+commodities no one supplies.
 """
 
 from __future__ import annotations
@@ -19,12 +19,8 @@ from .partition_game import GameSpec, PartitionStrategy, StrategyProfile, enumer
 from .scenarios import MergerScenario, MilitaryScenario, TwoInputProduction, weighted_voting
 
 
-def _rng(seed: random.Random | int) -> random.Random:
-    return seed if isinstance(seed, random.Random) else random.Random(seed)
-
-
 def random_coin_vector(
-    rng: random.Random | int,
+    rng: random.Random,
     ground: GroundSet,
     *,
     exact: bool = False,
@@ -32,7 +28,6 @@ def random_coin_vector(
     degenerate: bool = False,
 ) -> CoinVector:
     """Random per-element probabilities; `choices` restricts to a grid."""
-    rng = _rng(rng)
 
     def draw() -> Value:
         if choices is not None:
@@ -47,10 +42,9 @@ def random_coin_vector(
 
 
 def random_setfunction(
-    rng: random.Random | int, ground: GroundSet, *, exact: bool = False
+    rng: random.Random, ground: GroundSet, *, exact: bool = False
 ) -> SetFunction:
     """Arbitrary (not necessarily monotone) values, for algebra checks."""
-    rng = _rng(rng)
     if exact:
         return SetFunction(
             ground,
@@ -59,17 +53,14 @@ def random_setfunction(
     return SetFunction(ground, (rng.uniform(-4.0, 4.0) for _ in ground.subsets()))
 
 
-def random_monotone_family(rng: random.Random | int, ground: GroundSet) -> SetFunction:
+def random_monotone_family(rng: random.Random, ground: GroundSet) -> SetFunction:
     """0/1 up-closure of a random seed list; covers empty and full families."""
-    rng = _rng(rng)
     count = rng.randint(0, ground.n + 1)
     seeds = [rng.randrange(1 << ground.n) for _ in range(count)]
     return up_closure(ground, seeds)
 
 
-def random_production(rng: random.Random | int, ground: GroundSet) -> TwoInputProduction:
-    rng = _rng(rng)
-
+def random_production(rng: random.Random, ground: GroundSet) -> TwoInputProduction:
     def amount() -> float:
         return 0.0 if rng.random() < 0.15 else rng.uniform(0.0, 5.0)
 
@@ -83,8 +74,7 @@ def random_production(rng: random.Random | int, ground: GroundSet) -> TwoInputPr
     )
 
 
-def random_military(rng: random.Random | int, ground: GroundSet) -> MilitaryScenario:
-    rng = _rng(rng)
+def random_military(rng: random.Random, ground: GroundSet) -> MilitaryScenario:
     return MilitaryScenario(
         ground,
         c_red=random_monotone_family(rng, ground),
@@ -93,9 +83,8 @@ def random_military(rng: random.Random | int, ground: GroundSet) -> MilitaryScen
     )
 
 
-def random_voting_rule(rng: random.Random | int, ground: GroundSet) -> SetFunction:
+def random_voting_rule(rng: random.Random, ground: GroundSet) -> SetFunction:
     """Random 0/1 increasing rule rejecting {} and accepting the full set."""
-    rng = _rng(rng)
     if rng.random() < 0.5:
         weights = tuple(rng.randint(0, 5) for _ in range(ground.n))
         total = sum(weights)
@@ -108,8 +97,7 @@ def random_voting_rule(rng: random.Random | int, ground: GroundSet) -> SetFuncti
     return up_closure(ground, seeds or [ground.full])
 
 
-def random_merger(rng: random.Random | int, ground: GroundSet) -> MergerScenario:
-    rng = _rng(rng)
+def random_merger(rng: random.Random, ground: GroundSet) -> MergerScenario:
     return MergerScenario(
         ground,
         f_a=random_voting_rule(rng, ground),
@@ -123,7 +111,7 @@ def _labels(prefix: str, count: int) -> tuple[str, ...]:
 
 
 def random_game_spec(
-    rng: random.Random | int,
+    rng: random.Random,
     *,
     max_commodities: int = 4,
     strict: bool = False,
@@ -135,7 +123,6 @@ def random_game_spec(
     are strictly increasing and strictly positive, the regime in which the
     all-coarse profile is the unique equilibrium.
     """
-    rng = _rng(rng)
     commodities = _labels("k", rng.randint(1, max_commodities))
     suppliers = _labels("s", rng.randint(1, 3))
     hground = GroundSet(suppliers)
@@ -157,9 +144,8 @@ def random_game_spec(
     return GameSpec.build(commodities, suppliers, supply, p, payoffs)
 
 
-def random_profile(rng: random.Random | int, spec: GameSpec) -> StrategyProfile:
+def random_profile(rng: random.Random, spec: GameSpec) -> StrategyProfile:
     """Uniformly random partition choice per supplier."""
-    rng = _rng(rng)
     picks: list[PartitionStrategy] = []
     for h, owned in zip(spec.suppliers, spec.supply):
         options = enumerate_partitions(owned, owner=h)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convolution import _check_product_range, _common_ground
 from .lattice import CoinVector, SetFunction
 from .numerics import float_array
 from .partition_game import (
@@ -100,15 +101,11 @@ def estimate_convolution(
     Sampling runs in float64, so tables whose largest product
     max|f| max|g| is beyond float range are refused.
     """
-    if f.ground != g.ground or f.ground != p.ground:
-        raise ValueError("operands live on different ground sets")
-    f.ground.check_mask(coupled)
+    _common_ground(p, f, g).check_mask(coupled)
     if samples < 2:
         raise ValueError("at least two samples required")
     fa, ga = float_array(f.values), float_array(g.values)
-    # Python floats: the bound itself overflows to inf without a warning.
-    if not math.isfinite(float(np.abs(fa).max()) * float(np.abs(ga).max())):
-        raise ValueError("the largest product max|f| max|g| is beyond float range")
+    _check_product_range(fa, ga)
     rng = generator(seed)
     n = f.ground.n
     probs = float_array(p.p)

@@ -75,30 +75,6 @@ def _canonical_blocks(
     return tuple(sorted_blocks)
 
 
-def _set_partitions(items: Sequence[str]) -> Iterator[tuple[tuple[str, ...], ...]]:
-    # Restricted growth strings: code[i] names the block of item i and may
-    # exceed the running maximum by at most one, so each partition shows up
-    # exactly once and blocks come out ordered by first occurrence.
-    n = len(items)
-    if n == 0:
-        yield ()
-        return
-    code = [0] * n
-
-    def rec(idx: int, top: int) -> Iterator[tuple[tuple[str, ...], ...]]:
-        if idx == n:
-            blocks: list[list[str]] = [[] for _ in range(top + 1)]
-            for pos, b in enumerate(code):
-                blocks[b].append(items[pos])
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for v in range(top + 2):
-            code[idx] = v
-            yield from rec(idx + 1, max(top, v))
-
-    yield from rec(1, 0)
-
-
 def enumerate_partitions(commodities: Sequence[str], owner: str = "") -> list[PartitionStrategy]:
     """All partitions of the commodity sequence, in canonical block order."""
     items = tuple(commodities)
@@ -106,7 +82,13 @@ def enumerate_partitions(commodities: Sequence[str], owner: str = "") -> list[Pa
         raise ValueError("commodities must be distinct")
     if len(items) > MAX_PARTITION_SET:
         raise ValueError(f"partition enumeration is limited to {MAX_PARTITION_SET} commodities")
-    return [PartitionStrategy(owner, blocks) for blocks in _set_partitions(items)]
+    # Restricted growth order (Knuth, TAOCP 4A, 7.2.1.5): each item joins
+    # every existing block in turn, then opens a new one, so each partition
+    # shows up exactly once and blocks come out ordered by first occurrence.
+    parts: list[tuple[tuple[str, ...], ...]] = [()]
+    for k in items:
+        parts = [p[:b] + (blk + (k,),) + p[b + 1 :] for p in parts for b, blk in enumerate(p + ((),))]
+    return [PartitionStrategy(owner, blocks) for blocks in parts]
 
 
 def coarse_strategy(owner: str, commodities: Sequence[str]) -> PartitionStrategy:
@@ -520,34 +502,26 @@ def conditional_block_factors(
     if not set(conditioning) <= set(spec.suppliers):
         raise ValueError("conditioning names an unknown supplier")
 
-    bits_by_supplier: list[tuple[bool | None, ...]] = []
+    nk = len(spec.commodities)
+    base = [0] * nk
     for gi, (g, gstrat) in enumerate(zip(spec.suppliers, profile.strategies)):
-        want = len(gstrat.blocks)
         given = conditioning.get(g)
         if given is None:
-            if want == 0:
-                bits_by_supplier.append(())
-                continue
-            raise ValueError(f"incomplete conditioning: no bits for supplier {g!r}")
+            if gstrat.blocks:
+                raise ValueError(f"incomplete conditioning: no bits for supplier {g!r}")
+            continue
         bits = tuple(given)
-        if len(bits) != want:
+        if len(bits) != len(gstrat.blocks):
             raise ValueError(f"conditioning for {g!r} must give one bit per block")
-        for bi, bit in enumerate(bits):
+        for bi, (bit, block) in enumerate(zip(bits, gstrat.blocks)):
             if gi == hi and bi in (i, j):
                 if bit is not None:
                     raise ValueError("blocks under comparison must be left unconditioned")
             elif not isinstance(bit, bool):
                 raise ValueError(f"missing arrival bit for block {bi} of {g!r}")
-        bits_by_supplier.append(bits)
-
-    nk = len(spec.commodities)
-    base = [0] * nk
-    for gi, bits in enumerate(bits_by_supplier):
-        gbit = 1 << gi
-        for bi, bit in enumerate(bits):
-            if bit:
-                for k in profile.strategies[gi].blocks[bi]:
-                    base[spec.k_index(k)] |= gbit
+            elif bit:
+                for k in block:
+                    base[spec.k_index(k)] |= 1 << gi
     tables = _payoff_tables(spec, hi)
     hbit = 1 << hi
     block_i = [spec.k_index(k) for k in strat.blocks[i]]

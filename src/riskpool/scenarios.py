@@ -40,14 +40,10 @@ class TwoInputProduction:
     beta: Value
     p: CoinVector
 
-    def __init__(self, ground, x, y, alpha, beta, p):
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "x", tuple(x))
-        object.__setattr__(self, "y", tuple(y))
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "p", p)
-        if len(self.x) != ground.n or len(self.y) != ground.n:
+    def __post_init__(self):
+        object.__setattr__(self, "x", tuple(self.x))
+        object.__setattr__(self, "y", tuple(self.y))
+        if len(self.x) != self.ground.n or len(self.y) != self.ground.n:
             raise ValueError("one x and one y quantity per supplier required")
         if any(not geq(v, 0) for v in self.x + self.y):
             raise ValueError("input quantities must be nonnegative")
@@ -60,7 +56,7 @@ class TwoInputProduction:
                     f"{name}: an exact exponent must be an integer exponent, got {expo}; "
                     "fractional powers are computed in floats, so give a float"
                 )
-        if p.ground != ground:
+        if self.p.ground != self.ground:
             raise ValueError("coin vector lives on a different ground set")
 
 

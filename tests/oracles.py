@@ -22,6 +22,18 @@ def powerset(labels):
     ]
 
 
+def set_partitions(items):
+    """Every partition of `items` as a tuple of blocks, one per restricted
+    growth code in itertools.product order: code[i] names the block of
+    items[i] and exceeds max(code[:i]) by at most one."""
+    out = []
+    for code in product(*(range(i + 1) for i in range(len(items)))):
+        if all(c <= 1 + max(code[:i], default=-1) for i, c in enumerate(code)):
+            blocks = range(max(code, default=-1) + 1)
+            out.append(tuple(tuple(x for x, c in zip(items, code) if c == b) for b in blocks))
+    return out
+
+
 def table_of(fn):
     """SetFunction -> {frozenset: value} for oracle-side arithmetic."""
     return {

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riskpool import cli
+from riskpool import cli, partition_game
 from riskpool.cli import main
 from riskpool.convolution import convolve
 from riskpool.lattice import CoinVector, GroundSet, SetFunction
@@ -259,6 +259,22 @@ def test_expost_sweep_refuses_a_batch_the_scalar_code_contradicts(monkeypatch):
     up = SetFunction(g, (Fraction(1), Fraction(2)))
     spec = GameSpec.build(
         ["a", "b"], ["h1"], {"h1": ["a", "b"]}, CoinVector(g, (Fraction(1, 3),)), {"a": up, "b": up}
+    )
+    with pytest.raises(RuntimeError, match="disagree with conditional_payoffs"):
+        cli._expost_sweep(spec, spec.finest_profile())
+
+
+def test_expost_recheck_sees_arrived_blocks(monkeypatch):
+    # A batch that loses s1's arrivals still agrees with the scalar code on
+    # every row where no block of s1 arrives, row 0 among them, so only a
+    # recheck of a row with arrived blocks can catch it.
+    masks = partition_game._success_masks
+    monkeypatch.setattr(partition_game, "_success_masks", lambda *args: masks(*args) & 0xFE)
+    g = GroundSet(["s1", "s2"])
+    up = SetFunction(g, (Fraction(1), Fraction(2), Fraction(3), Fraction(5)))
+    ks = ["k1", "k2"]
+    spec = GameSpec.build(
+        ks, ["s1", "s2"], {"s1": ks, "s2": ks}, CoinVector(g, (Fraction(1, 3),) * 2), dict.fromkeys(ks, up)
     )
     with pytest.raises(RuntimeError, match="disagree with conditional_payoffs"):
         cli._expost_sweep(spec, spec.finest_profile())

@@ -138,10 +138,12 @@ _BIG = SetFunction(_ONE, (0.0, 1e200))
         lambda: estimate_convolution(_HUGE, _HUGE, _HALF, 1, 10, 0),
         # finite float tables whose sampled product f(S1) g(S2) is not
         lambda: estimate_convolution(_BIG, _BIG, _HALF, 1, 50, 0),
+        lambda: convolve_bruteforce(_BIG, _BIG, _HALF, 1),
     ],
     ids=[
         "convolve", "is_increasing", "expectation", "harris_gap", "harris_gap-float-g",
         "convolve_bruteforce", "estimate_convolution", "estimate_convolution-product",
+        "convolve_bruteforce-product",
     ],
 )
 def test_exact_value_beyond_float_range_in_a_float_call_is_a_value_error(call):

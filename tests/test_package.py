@@ -17,13 +17,6 @@ from riskpool.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "riskpool"
 
-# Public names that no other package code calls, kept because each is a
-# result of the paper in its own right.  One line per name, with its claim.
-PAPER_OBJECTS = {
-    "partition_expectation": "coarsening: merging blocks of increasing functions never lowers "
-    "the product of the block expectations",
-}
-
 
 def _modules():
     return sorted(SRC.glob("*.py"))
@@ -61,9 +54,8 @@ def test_public_names_are_used_by_the_package():
     assert names == sorted(set(names))
     for name in names:
         assert hasattr(riskpool, name), name
-    assert set(PAPER_OBJECTS) <= set(names)
     refs = _references()
-    unused = [name for name in names if name not in refs and name not in PAPER_OBJECTS]
+    unused = [name for name in names if name not in refs]
     assert unused == []
     # The same for the methods of the public classes.  A check by name
     # cannot tell a method from another object's attribute of the same

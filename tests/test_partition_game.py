@@ -68,14 +68,21 @@ def _two_supplier_spec():
 
 
 def test_partition_counts_follow_bell_numbers():
-    bell = (1, 1, 2, 5, 15)
-    for n in range(5):
+    bell = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+    for n in range(9):
         ks = [f"k{i}" for i in range(n)]
         assert len(enumerate_partitions(ks)) == bell[n]
     with pytest.raises(ValueError):
         enumerate_partitions([f"k{i}" for i in range(9)])
     with pytest.raises(ValueError):
         enumerate_partitions(["a", "a"])
+
+
+def test_partitions_come_in_restricted_growth_order():
+    # The order indexes the payoff arrays' axes and the reports' profiles.
+    for n in range(9):
+        ks = [f"k{i}" for i in range(n)]
+        assert [s.blocks for s in enumerate_partitions(ks)] == oracles.set_partitions(ks)
 
 
 def test_partitions_are_distinct_and_cover():
