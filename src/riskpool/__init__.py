@@ -30,7 +30,6 @@ from .montecarlo import (
     generator,
 )
 from .partition_game import (
-    DominanceCertificate,
     DominanceViolation,
     GameSpec,
     PartitionStrategy,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoinVector",
-    "DominanceCertificate",
     "DominanceViolation",
     "EstimateReport",
     "GameSpec",

@@ -1,10 +1,11 @@
 """Batch command-line front-end.
 
 Subcommands: `convolve`, `scenario`, `game analyze`, `game simulate`, and
-`verify`.  Configs and reports are JSON; subset tables are keyed by
-comma-joined sorted element names ("" for the empty set) so reports do not
-depend on label order.  Exact mode serializes rationals as "num/den"
-strings and rejects float literals in configs.
+`verify`.  Configs and reports are UTF-8 JSON, and no object in a config
+may repeat a key; subset tables are keyed by comma-joined sorted element
+names ("" for the empty set) so reports do not depend on label order.
+Exact mode serializes rationals as "num/den" strings and rejects float
+literals in configs.
 
 Exit codes: 0 all verdicts pass, 1 a property violation was found (the
 report carries a counterexample certificate), 2 usage or config error.
@@ -243,13 +244,23 @@ def _voting_rule(obj: object, ground: GroundSet, mode: str, path: str) -> SetFun
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object, refused if it repeats a key (json.loads keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ConfigError(f"repeated key {repeated!r} in a JSON object")
+    return obj
+
+
 def _load_config(path: str, mode_flag: str | None, expected_kinds: Sequence[str]) -> tuple[dict, str]:
     try:
-        raw = Path(path).read_text()
+        raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -275,10 +286,10 @@ def _emit(report: dict, out: str | None, tables: Mapping[str, Mapping[str, objec
         return
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(text + "\n")
+    (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
     if want_csv:
         for name, table in tables.items():
-            with open(out_dir / f"{name}.csv", "w", newline="") as fh:
+            with open(out_dir / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["subset", "value"])
                 for key in sorted(table):
@@ -349,7 +360,6 @@ def _production(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> Tw
         return tuple(_value(obj[h], mode, f"{field}.{h}") for h in ground.labels)
 
     return TwoInputProduction(
-        ground,
         amounts("x"),
         amounts("y"),
         _value(cfg.get("alpha"), mode, "alpha"),
@@ -360,7 +370,6 @@ def _production(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> Tw
 
 def _military(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> MilitaryScenario:
     return MilitaryScenario(
-        ground,
         c_red=_family(cfg.get("red"), ground, "red"),
         c_blue=_family(cfg.get("blue"), ground, "blue"),
         p=p,
@@ -369,7 +378,6 @@ def _military(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> Mili
 
 def _merger(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> MergerScenario:
     return MergerScenario(
-        ground,
         f_a=_voting_rule(cfg.get("a"), ground, mode, "a"),
         f_b=_voting_rule(cfg.get("b"), ground, mode, "b"),
         p=p,
@@ -406,7 +414,7 @@ def _check_scenario(check, sc) -> tuple[dict, list[int], dict]:
     """Tables, optimal pools and checks, including that the full pool is optimal."""
     tables, objective, checks = check(sc)
     best = optimal_strategies(objective)
-    checks["optimal_contains_full"] = sc.ground.full in best
+    checks["optimal_contains_full"] = sc.p.ground.full in best
     return tables, best, checks
 
 
@@ -470,7 +478,7 @@ def _game_spec(cfg: Mapping, mode: str, limit: int | None) -> GameSpec:
                 for h, sub in entry.items()
             }
     try:
-        return GameSpec.build(commodities, hground.labels, supply, p, payoffs)
+        return GameSpec.build(commodities, supply, p, payoffs)
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -578,11 +586,11 @@ def _expost_sweep(spec: GameSpec, profile: StrategyProfile) -> dict:
 
 
 def _game_verdict(spec: GameSpec) -> tuple[list, list[StrategyProfile], bool]:
-    """Dominance certificate of every player, the pure Nash set, and whether
-    the all-coarse profile is in it."""
-    certs = [check_dominance(spec, h) for h in spec.suppliers]
+    """Every player's dominance violation (None where dominance holds), the
+    pure Nash set, and whether the all-coarse profile is in it."""
+    violations = [check_dominance(spec, h) for h in spec.suppliers]
     nash = find_nash(spec)
-    return certs, nash, spec.coarse_profile() in nash
+    return violations, nash, spec.coarse_profile() in nash
 
 
 def _cmd_game_analyze(args) -> int:
@@ -593,7 +601,7 @@ def _cmd_game_analyze(args) -> int:
     profile_count = math.prod(len(lst) for lst in lists)
 
     # The verdict builds the spec's payoff arrays, which the tables then read.
-    certs, nash, nash_has_coarse = _game_verdict(spec)
+    violations, nash, nash_has_coarse = _game_verdict(spec)
     payoff_tables: dict[str, dict[str, object]] | None = None
     if profile_count <= GAME_TABLE_CAP:
         payoff_tables = {h: {} for h in spec.suppliers}
@@ -602,21 +610,19 @@ def _cmd_game_analyze(args) -> int:
             key = _profile_key(prof)
             for h in spec.suppliers:
                 payoff_tables[h][key] = format_value(expected_payoff(spec, prof, h))
-    all_hold = all(c.holds for c in certs)
+    all_hold = all(v is None for v in violations)
     dominance = {}
-    for cert in certs:
-        entry: dict[str, object] = {"holds": cert.holds}
-        if cert.violation is not None:
+    for h, v in zip(spec.suppliers, violations):
+        entry: dict[str, object] = {"holds": v is None}
+        if v is not None:
             entry["violation"] = {
-                "opponents": [
-                    {s.owner: [list(b) for b in s.blocks]} for s in cert.violation.opponents
-                ],
-                "better": [list(b) for b in cert.violation.better.blocks],
-                "worse": [list(b) for b in cert.violation.worse.blocks],
-                "payoff_better": format_value(cert.violation.payoff_better),
-                "payoff_worse": format_value(cert.violation.payoff_worse),
+                "opponents": [{s.owner: [list(b) for b in s.blocks]} for s in v.opponents],
+                "better": [list(b) for b in v.better.blocks],
+                "worse": [list(b) for b in v.worse.blocks],
+                "payoff_better": format_value(v.payoff_better),
+                "payoff_worse": format_value(v.payoff_worse),
             }
-        dominance[cert.player] = entry
+        dominance[h] = entry
 
     expost_profile = profile if profile is not None else spec.finest_profile()
     expost = _expost_sweep(spec, expost_profile)
@@ -786,8 +792,8 @@ def _verify_games(seed: int):
     for idx in range(12):
         strict = idx % 3 == 0
         spec = generators.random_game_spec(rng, strict=strict)
-        certs, nash, nash_has_coarse = _game_verdict(spec)
-        failed = next((c.player for c in certs if not c.holds), None)
+        violations, nash, nash_has_coarse = _game_verdict(spec)
+        failed = next((h for h, v in zip(spec.suppliers, violations) if v is not None), None)
         if failed is not None:
             yield 1, {"player": failed}
         elif not nash_has_coarse:

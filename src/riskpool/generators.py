@@ -65,7 +65,6 @@ def random_production(rng: random.Random, ground: GroundSet) -> TwoInputProducti
         return 0.0 if rng.random() < 0.15 else rng.uniform(0.0, 5.0)
 
     return TwoInputProduction(
-        ground,
         x=tuple(amount() for _ in range(ground.n)),
         y=tuple(amount() for _ in range(ground.n)),
         alpha=rng.uniform(0.1, 2.5),
@@ -76,7 +75,6 @@ def random_production(rng: random.Random, ground: GroundSet) -> TwoInputProducti
 
 def random_military(rng: random.Random, ground: GroundSet) -> MilitaryScenario:
     return MilitaryScenario(
-        ground,
         c_red=random_monotone_family(rng, ground),
         c_blue=random_monotone_family(rng, ground),
         p=random_coin_vector(rng, ground, degenerate=True),
@@ -99,7 +97,6 @@ def random_voting_rule(rng: random.Random, ground: GroundSet) -> SetFunction:
 
 def random_merger(rng: random.Random, ground: GroundSet) -> MergerScenario:
     return MergerScenario(
-        ground,
         f_a=random_voting_rule(rng, ground),
         f_b=random_voting_rule(rng, ground),
         p=random_coin_vector(rng, ground, degenerate=True),
@@ -141,7 +138,7 @@ def random_game_spec(
 
     payoffs = {k: {h: family() for h in suppliers} for k in commodities}
     p = random_coin_vector(rng, hground, choices=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
-    return GameSpec.build(commodities, suppliers, supply, p, payoffs)
+    return GameSpec.build(commodities, supply, p, payoffs)
 
 
 def random_profile(rng: random.Random, spec: GameSpec) -> StrategyProfile:

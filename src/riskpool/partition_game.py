@@ -129,14 +129,15 @@ class StrategyProfile:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Commodities, suppliers, supply sets, coins, and payoff families.
+    """Commodities, supply sets, coins, and payoff families.
 
-    payoffs[k][h] is the nonnegative increasing function F applied to the
-    supplier set that delivered commodity k, entering player h's product
-    payoff.  `symmetric`, computed from the payoffs, is true when they do
-    not depend on h, and `exact` when every coin and payoff value is exact.
-    A float spec must keep its payoffs within float range (see
-    _check_float_range).
+    The suppliers are the labels of the coin vector's ground set, and
+    supply and every payoff row follow their order.  payoffs[k][h] is the
+    nonnegative increasing function F applied to the supplier set that
+    delivered commodity k, entering player h's product payoff.
+    `symmetric`, computed from the payoffs, is true when they do not depend
+    on h, and `exact` when every coin and payoff value is exact.  A float
+    spec must keep its payoffs within float range (see _check_float_range).
 
     The first exhaustive request (check_dominance or find_nash) builds
     every player's payoffs over all profiles at once, one array per player
@@ -147,7 +148,6 @@ class GameSpec:
     """
 
     commodities: tuple[str, ...]
-    suppliers: tuple[str, ...]
     supply: tuple[tuple[str, ...], ...]
     p: CoinVector
     payoffs: tuple[tuple[SetFunction, ...], ...]
@@ -161,16 +161,12 @@ class GameSpec:
     def __post_init__(self):
         if len(set(self.commodities)) != len(self.commodities):
             raise ValueError("commodities must be distinct")
-        if len(set(self.suppliers)) != len(self.suppliers):
-            raise ValueError("suppliers must be distinct")
         if not self.suppliers:
             raise ValueError("at least one supplier required")
         if len(self.commodities) > MAX_COMMODITIES:
             raise ValueError(f"exact analysis is limited to {MAX_COMMODITIES} commodities")
         if len(self.suppliers) > MAX_SUPPLIERS:
             raise ValueError(f"exact analysis is limited to {MAX_SUPPLIERS} suppliers")
-        if self.p.ground.labels != self.suppliers:
-            raise ValueError("coin vector must be indexed by the suppliers")
         if len(self.supply) != len(self.suppliers):
             raise ValueError("one supply set per supplier required")
         kset = set(self.commodities)
@@ -200,7 +196,6 @@ class GameSpec:
     def build(
         cls,
         commodities: Sequence[str],
-        suppliers: Sequence[str],
         supply: Mapping[str, Sequence[str]],
         p: CoinVector,
         payoffs: Mapping[str, SetFunction | Mapping[str, SetFunction]],
@@ -211,9 +206,7 @@ class GameSpec:
         supplier) or a full per-supplier mapping.
         """
         commodities = tuple(commodities)
-        suppliers = tuple(suppliers)
-        if not suppliers:
-            raise ValueError("at least one supplier required")
+        suppliers = p.ground.labels
         if set(supply) != set(suppliers):
             raise ValueError("supply must be keyed by exactly the suppliers")
         korder = {k: i for i, k in enumerate(commodities)}
@@ -231,7 +224,11 @@ class GameSpec:
                 if set(entry) != set(suppliers):
                     raise ValueError(f"payoffs for {k!r} must be keyed by the suppliers")
                 rows.append(tuple(entry[h] for h in suppliers))
-        return cls(commodities, suppliers, supply_rows, p, tuple(rows))
+        return cls(commodities, supply_rows, p, tuple(rows))
+
+    @property
+    def suppliers(self) -> tuple[str, ...]:
+        return self.p.ground.labels
 
     def h_index(self, h: str) -> int:
         try:
@@ -630,13 +627,6 @@ class DominanceViolation:
     payoff_worse: Value
 
 
-@dataclass(frozen=True)
-class DominanceCertificate:
-    player: str
-    holds: bool
-    violation: DominanceViolation | None
-
-
 def _strategy_lists(spec: GameSpec) -> list[list[PartitionStrategy]]:
     """Every supplier's strategies, the very objects that index the spec's
     payoff arrays.  The first call checks MAX_PROFILES and builds them."""
@@ -651,10 +641,10 @@ def _strategy_lists(spec: GameSpec) -> list[list[PartitionStrategy]]:
     return [list(pos) for pos in spec._payoff_arrays[0]]
 
 
-def check_dominance(spec: GameSpec, h: str) -> DominanceCertificate:
+def check_dominance(spec: GameSpec, h: str) -> DominanceViolation | None:
     """Verify that coarsening h's strategy never lowers h's payoff,
     whatever the opponents play.  Returns the first counterexample found,
-    if any, as a certificate."""
+    or None when there is none."""
     hi = spec.h_index(h)
     lists = _strategy_lists(spec)
     own = lists[hi]
@@ -674,18 +664,8 @@ def check_dominance(spec: GameSpec, h: str) -> DominanceCertificate:
         ]
         for a, b in pairs:
             if not geq(pays[a], pays[b]):
-                return DominanceCertificate(
-                    player=h,
-                    holds=False,
-                    violation=DominanceViolation(
-                        opponents=tuple(others),
-                        better=own[a],
-                        worse=own[b],
-                        payoff_better=pays[a],
-                        payoff_worse=pays[b],
-                    ),
-                )
-    return DominanceCertificate(player=h, holds=True, violation=None)
+                return DominanceViolation(tuple(others), own[a], own[b], pays[a], pays[b])
+    return None
 
 
 def find_nash(spec: GameSpec) -> list[StrategyProfile]:
@@ -719,6 +699,4 @@ def scaled_spec(spec: GameSpec, kappa: Mapping[str, Value]) -> GameSpec:
     first_row = tuple(
         f * kappa[h] for h, f in zip(spec.suppliers, spec.payoffs[0])
     )
-    return GameSpec(
-        spec.commodities, spec.suppliers, spec.supply, spec.p, (first_row,) + spec.payoffs[1:]
-    )
+    return GameSpec(spec.commodities, spec.supply, spec.p, (first_row,) + spec.payoffs[1:])

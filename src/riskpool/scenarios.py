@@ -5,6 +5,7 @@ of resources whose random availability is pooled (one coin shared by both
 sides) while the rest stay independent, and wants the S maximizing an
 objective of the form (f * g)(S).  Because the objectives here are built
 from increasing functions, the full pool S = H is always among the optima.
+A model's ground set H is that of its coin vector, `sc.p.ground`.
 
 The strike and merger models couple two 0/1 increasing functions: the
 indicators of the critical site families, and the two boards' voting
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .convolution import convolve
+from .convolution import _common_ground, convolve
 from .lattice import CoinVector, GroundSet, SetFunction, is_increasing
 from .numerics import Value, argmax_ties, geq, is_exact, power, stable_sum
 
@@ -33,7 +34,6 @@ class TwoInputProduction:
     inputs give an exact table; a fractional power needs a float exponent.
     """
 
-    ground: GroundSet
     x: tuple[Value, ...]
     y: tuple[Value, ...]
     alpha: Value
@@ -43,7 +43,7 @@ class TwoInputProduction:
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(self.x))
         object.__setattr__(self, "y", tuple(self.y))
-        if len(self.x) != self.ground.n or len(self.y) != self.ground.n:
+        if len(self.x) != self.p.ground.n or len(self.y) != self.p.ground.n:
             raise ValueError("one x and one y quantity per supplier required")
         if any(not geq(v, 0) for v in self.x + self.y):
             raise ValueError("input quantities must be nonnegative")
@@ -56,8 +56,6 @@ class TwoInputProduction:
                     f"{name}: an exact exponent must be an integer exponent, got {expo}; "
                     "fractional powers are computed in floats, so give a float"
                 )
-        if self.p.ground != self.ground:
-            raise ValueError("coin vector lives on a different ground set")
 
 
 def _additive_table(ground: GroundSet, amounts: tuple[Value, ...]) -> list[Value]:
@@ -70,10 +68,11 @@ def _additive_table(ground: GroundSet, amounts: tuple[Value, ...]) -> list[Value
 
 def production_factors(sc: TwoInputProduction) -> tuple[SetFunction, SetFunction]:
     """The two plant-output functions F1(T) = (sum x)**alpha and F2."""
-    xs = _additive_table(sc.ground, sc.x)
-    ys = _additive_table(sc.ground, sc.y)
-    f1 = SetFunction(sc.ground, (power(v, sc.alpha) for v in xs))
-    f2 = SetFunction(sc.ground, (power(v, sc.beta) for v in ys))
+    ground = sc.p.ground
+    xs = _additive_table(ground, sc.x)
+    ys = _additive_table(ground, sc.y)
+    f1 = SetFunction(ground, (power(v, sc.alpha) for v in xs))
+    f2 = SetFunction(ground, (power(v, sc.beta) for v in ys))
     return f1, f2
 
 
@@ -94,18 +93,14 @@ class MilitaryScenario:
     plans.
     """
 
-    ground: GroundSet
     c_red: SetFunction
     c_blue: SetFunction
     p: CoinVector
 
     def __post_init__(self):
+        _common_ground(self.p, self.c_red, self.c_blue)
         for f in (self.c_red, self.c_blue):
-            if f.ground != self.ground:
-                raise ValueError("critical families live on a different ground set")
             _check_increasing_indicator(f, "critical family", "is not up-closed")
-        if self.p.ground != self.ground:
-            raise ValueError("coin vector lives on a different ground set")
 
 
 def military_tables(sc: MilitaryScenario) -> tuple[SetFunction, SetFunction, SetFunction]:
@@ -131,18 +126,14 @@ class MergerScenario:
     means those attend both meetings or neither.
     """
 
-    ground: GroundSet
     f_a: SetFunction
     f_b: SetFunction
     p: CoinVector
 
     def __post_init__(self):
+        _common_ground(self.p, self.f_a, self.f_b)
         for f in (self.f_a, self.f_b):
-            if f.ground != self.ground:
-                raise ValueError("voting rule lives on a different ground set")
             _check_voting_rule(f)
-        if self.p.ground != self.ground:
-            raise ValueError("coin vector lives on a different ground set")
 
 
 def _check_increasing_indicator(f: SetFunction, name: str, not_increasing: str) -> None:

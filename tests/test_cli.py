@@ -4,6 +4,7 @@ round-trips between reports and the library."""
 import copy
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ from riskpool.convolution import convolve
 from riskpool.lattice import CoinVector, GroundSet, SetFunction
 from riskpool.montecarlo import EstimateReport
 from riskpool.numerics import parse_value, power
-from riskpool.partition_game import DominanceCertificate, GameSpec
+from riskpool.partition_game import DominanceViolation, GameSpec
 
 CONV_CONFIG = {
     "kind": "convolution",
@@ -203,6 +204,44 @@ def test_game_analyze_report(tmp_path, capsys):
     assert set(report["payoff_tables"]) == {"h1", "h2"}
 
 
+def test_game_analyze_reports_a_dominance_violation(tmp_path, capsys, monkeypatch):
+    # h2's check fails with a made-up witness while h1's runs for real: the
+    # report writes the witness out in full and the run exits 1.
+    real = cli.check_dominance
+
+    def fail_for_h2(spec, h):
+        if h != "h2":
+            return real(spec, h)
+        return DominanceViolation(
+            opponents=(spec.strategy("h1", [["gas"], ["oil"]]),),
+            better=spec.strategy("h2", [["gas", "oil"]]),
+            worse=spec.strategy("h2", [["oil"], ["gas"]]),
+            payoff_better=Fraction(1, 3),
+            payoff_worse=Fraction(1, 2),
+        )
+
+    monkeypatch.setattr(cli, "check_dominance", fail_for_h2)
+    cfg_obj = {k: v for k, v in GAME_CONFIG.items() if k != "profile"}
+    cfg_obj["supply"] = {"h1": ["oil", "gas"], "h2": ["oil", "gas"]}
+    code, out, _ = _run(capsys, ["game", "analyze", "--config", _write(tmp_path, "game.json", cfg_obj)])
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert report["dominance"] == {
+        "h1": {"holds": True},
+        "h2": {
+            "holds": False,
+            "violation": {
+                "opponents": [{"h1": [["oil"], ["gas"]]}],
+                "better": [["oil", "gas"]],
+                "worse": [["oil"], ["gas"]],
+                "payoff_better": "1/3",
+                "payoff_worse": "1/2",
+            },
+        },
+    }
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_expost_sweep_pins_its_first_failure(exact):
     # h2's factor for its commodity c falls when h2 delivers, which the spec
@@ -220,7 +259,6 @@ def test_expost_sweep_pins_its_first_failure(exact):
     up = table(1, 2, 1, 2)
     spec = GameSpec.build(
         ks,
-        ["h1", "h2"],
         {"h1": ["a", "b", "c"], "h2": ["c", "d"]},
         CoinVector(g, (num(Fraction(1, 3)), num(Fraction(3, 4)))),
         {
@@ -258,7 +296,7 @@ def test_expost_sweep_refuses_a_batch_the_scalar_code_contradicts(monkeypatch):
     g = GroundSet(["h1"])
     up = SetFunction(g, (Fraction(1), Fraction(2)))
     spec = GameSpec.build(
-        ["a", "b"], ["h1"], {"h1": ["a", "b"]}, CoinVector(g, (Fraction(1, 3),)), {"a": up, "b": up}
+        ["a", "b"], {"h1": ["a", "b"]}, CoinVector(g, (Fraction(1, 3),)), {"a": up, "b": up}
     )
     with pytest.raises(RuntimeError, match="disagree with conditional_payoffs"):
         cli._expost_sweep(spec, spec.finest_profile())
@@ -274,7 +312,7 @@ def test_expost_recheck_sees_arrived_blocks(monkeypatch):
     up = SetFunction(g, (Fraction(1), Fraction(2), Fraction(3), Fraction(5)))
     ks = ["k1", "k2"]
     spec = GameSpec.build(
-        ks, ["s1", "s2"], {"s1": ks, "s2": ks}, CoinVector(g, (Fraction(1, 3),) * 2), dict.fromkeys(ks, up)
+        ks, {"s1": ks, "s2": ks}, CoinVector(g, (Fraction(1, 3),) * 2), dict.fromkeys(ks, up)
     )
     with pytest.raises(RuntimeError, match="disagree with conditional_payoffs"):
         cli._expost_sweep(spec, spec.finest_profile())
@@ -353,10 +391,11 @@ def test_verify_max_ground_caps_every_convolution_sweep(monkeypatch, capsys):
 def test_verify_reports_a_failing_sweep(monkeypatch, capsys):
     # a dominance check that always fails: the games sweep stops at its first
     # game, counts it, and certifies the first player; the other sweeps pass
-    monkeypatch.setattr(
-        "riskpool.cli.check_dominance",
-        lambda spec, h: DominanceCertificate(player=h, holds=False, violation=None),
-    )
+    def always_fails(spec, h):
+        coarse = spec.coarse_profile().strategies[spec.h_index(h)]
+        return DominanceViolation((), coarse, coarse, 0, 1)
+
+    monkeypatch.setattr("riskpool.cli.check_dominance", always_fails)
     code = main(["verify", "--max-ground", "3", "--samples", "2000", "--seed", "1"])
     captured = capsys.readouterr()
     assert code == 1
@@ -470,6 +509,29 @@ def test_duplicate_subset_keys_rejected(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert "'a,b'" in err and "'b,a'" in err
+
+
+@pytest.mark.parametrize(
+    "base, old, new, key",
+    [
+        (CONV_CONFIG, '"mode": "exact"', '"mode": "float", "mode": "exact"', "mode"),
+        (CONV_CONFIG, '"p": {"a": "1/2"', '"p": {"a": "1/4", "a": "1/2"', "a"),
+        (CONV_CONFIG, '"table": {"": 0', '"table": {"": 1, "": 0', ""),
+        (CONV_CONFIG, '"f": {"table"', '"f": {"table": {}, "table"', "table"),
+        (GAME_CONFIG, '"gas": {"table"', '"gas": {"constant": 1}, "gas": {"table"', "gas"),
+    ],
+)
+def test_repeated_json_keys_rejected(tmp_path, capsys, base, old, new, key):
+    # json.loads would keep the last value without a word
+    text = json.dumps(base)
+    assert text.count(old) == 1
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace(old, new))
+    command = ["game", "analyze"] if base is GAME_CONFIG else ["convolve"]
+    code, out, err = _run(capsys, [*command, "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert f"repeated key {key!r}" in err
 
 
 def test_label_holding_a_comma_rejected(tmp_path, capsys):
@@ -790,6 +852,28 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("escaped", [False, True])
+def test_config_and_outputs_are_utf8_in_any_locale(tmp_path, escaped):
+    # Under the C locale Python's default text encoding is ASCII.  A config
+    # that escapes the name reads as ASCII; its outputs must still be UTF-8.
+    cfg = dict(CONV_CONFIG, ground=["é"], p={"é": "1/2"}, f={"constant": 1}, g={"constant": 2})
+    path = tmp_path / "conv.json"
+    path.write_bytes(json.dumps(cfg, ensure_ascii=escaped).encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env.pop("PYTHONIOENCODING", None)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "riskpool.cli", "convolve", "--config", str(path), "--out", str(out), "--csv"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ground"] == ["é"]
+    rows = (out / "convolution.csv").read_bytes().decode("utf-8").splitlines()
+    assert rows == ["subset,value", ",2", "é,2"]
 
 
 def test_console_entry_point(tmp_path):

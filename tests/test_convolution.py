@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from riskpool.lattice import (
     is_increasing,
     random_increasing,
 )
-from riskpool.numerics import close, is_exact
+from riskpool.numerics import close, close_array, is_exact
 
 
 def _ground(n):
@@ -349,6 +350,70 @@ def test_mismatched_grounds_rejected():
         convolve(f, gg, p)
     with pytest.raises(ValueError):
         convolve(f, f, CoinVector(_ground(3), (0.5,) * 3))
+
+
+# -- the derivative identity ----------------------------------------------------
+
+
+def _assert_derivative_identity(f, gg, p):
+    """For every element i and every S holding i,
+    (f*g)(S) - (f*g)(S - i) = p_i (1 - p_i) (d_i f * d_i g)(S - i), where
+    d_i f(T) = f(T + i) - f(T) lives on the ground set without i.  Both
+    sides come from `convolve`: a metamorphic check that reaches sizes the
+    brute-force oracle cannot."""
+    g = p.ground
+    dtype = object if f.exact and gg.exact and p.exact else float
+
+    def halves(values, i):
+        # entries without i and with i, indexed by T on the ground without i
+        arr = np.array(values, dtype=dtype).reshape(-1, 2, 1 << i)
+        return arr[:, 0, :].reshape(-1), arr[:, 1, :].reshape(-1)
+
+    table = convolve(f, gg, p)
+    for i, label in enumerate(g.labels):
+        rest = GroundSet(g.labels[:i] + g.labels[i + 1 :])
+        (f0, f1), (g0, g1) = halves(f.values, i), halves(gg.values, i)
+        sub = convolve(
+            SetFunction(rest, (f1 - f0).tolist()),
+            SetFunction(rest, (g1 - g0).tolist()),
+            CoinVector(rest, p.p[:i] + p.p[i + 1 :]),
+        )
+        without_i, with_i = halves(table.values, i)
+        lhs = with_i - without_i
+        rhs = p.p[i] * (1 - p.p[i]) * np.array(sub.values, dtype=dtype)
+        bad = np.flatnonzero(~close_array(lhs, rhs))
+        if bad.size:
+            t = int(bad[0])
+            s_mask = (t >> i << (i + 1)) | (1 << i) | (t & ((1 << i) - 1))
+            pytest.fail(
+                f"i = {label}, S = {sorted(g.labels_of(s_mask))}: "
+                f"(f*g)(S) - (f*g)(S - i) = {lhs[t]}, p_i(1-p_i)(d_i f * d_i g)(S - i) = {rhs[t]}"
+            )
+
+
+def test_derivative_identity_small_exact():
+    rng = random.Random(15)
+    for _ in range(60):
+        g = _ground(rng.randint(1, 6))
+        f = random_setfunction(rng, g, exact=True)
+        gg = random_setfunction(rng, g, exact=True)
+        _assert_derivative_identity(f, gg, random_coin_vector(rng, g, exact=True, degenerate=True))
+
+
+def test_derivative_identity_exact_n14():
+    rng = random.Random(16)
+    g = _ground(14)
+    f = random_setfunction(rng, g, exact=True)
+    gg = random_setfunction(rng, g, exact=True)
+    _assert_derivative_identity(f, gg, random_coin_vector(rng, g, exact=True))
+
+
+def test_derivative_identity_float_n20():
+    rng = random.Random(17)
+    g = _ground(20)
+    f = random_setfunction(rng, g)
+    gg = random_setfunction(rng, g)
+    _assert_derivative_identity(f, gg, random_coin_vector(rng, g))
 
 
 # -- the coarsening inequality for many functions ------------------------------

@@ -313,7 +313,7 @@ def _superset_closure(n, seeds):
 def test_monotone_family_rejects_non_up_closed():
     def military(g, table):
         family = SetFunction(g, table)
-        return MilitaryScenario(g, family, family, CoinVector(g, (0.5,) * g.n))
+        return MilitaryScenario(family, family, CoinVector(g, (0.5,) * g.n))
 
     g = _ground(2)
     with pytest.raises(ValueError, match="not up-closed"):

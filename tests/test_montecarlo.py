@@ -26,7 +26,6 @@ def _simple_spec(p=F(1, 2)):
     g = GroundSet(["h"])
     return GameSpec.build(
         commodities=["a", "b"],
-        suppliers=["h"],
         supply={"h": ["a", "b"]},
         p=CoinVector(g, (p,)),
         payoffs={
@@ -153,7 +152,6 @@ def test_seeded_streams_are_pinned():
     shared_oil = SetFunction(g, (0, 1, 1, 2, 1, 2, 2, 3))
     spec = GameSpec.build(
         commodities=["oil", "gas", "coal"],
-        suppliers=["h1", "h2", "h3"],
         supply={"h1": ["oil", "gas", "coal"], "h2": ["oil", "coal"], "h3": []},
         p=CoinVector(g, (F(1, 2), F(3, 4), F(1, 3))),
         payoffs={

@@ -45,7 +45,7 @@ def _ground(n):
 
 def test_production_single_supplier_worked_example():
     g = _ground(1)
-    sc = TwoInputProduction(g, (4,), (9,), 0.5, 0.5, CoinVector(g, (0.5,)))
+    sc = TwoInputProduction((4,), (9,), 0.5, 0.5, CoinVector(g, (0.5,)))
     table = production_table(sc)
     assert close(table(1), 3.0) and close(table(0), 1.5)
     assert 1 in optimal_strategies(table)
@@ -53,7 +53,7 @@ def test_production_single_supplier_worked_example():
 
 def test_production_factors_are_powers_of_sums():
     g = _ground(2)
-    sc = TwoInputProduction(g, (4, 5), (9, 7), 2, 1, CoinVector(g, (Fraction(1, 2),) * g.n))
+    sc = TwoInputProduction((4, 5), (9, 7), 2, 1, CoinVector(g, (Fraction(1, 2),) * g.n))
     f1, f2 = production_factors(sc)
     assert f1.values == (0, 16, 25, 81)
     assert f2.values == (0, 9, 7, 16)
@@ -62,7 +62,7 @@ def test_production_factors_are_powers_of_sums():
 
 def test_production_certain_delivery_is_constant():
     g = _ground(2)
-    sc = TwoInputProduction(g, (1, 2), (3, 4), 0.5, 1.5, CoinVector(g, (1,) * g.n))
+    sc = TwoInputProduction((1, 2), (3, 4), 0.5, 1.5, CoinVector(g, (1,) * g.n))
     table = production_table(sc)
     assert all(close(v, table.values[0]) for v in table.values)
 
@@ -88,13 +88,13 @@ def test_production_validation():
     g = _ground(1)
     p = CoinVector(g, (0.5,))
     with pytest.raises(ValueError):
-        TwoInputProduction(g, (-1,), (1,), 1, 1, p)
+        TwoInputProduction((-1,), (1,), 1, 1, p)
     with pytest.raises(ValueError):
-        TwoInputProduction(g, (1,), (1,), 0, 1, p)
+        TwoInputProduction((1,), (1,), 0, 1, p)
     with pytest.raises(ValueError):
-        TwoInputProduction(g, (1,), (1,), 1, -2, p)
+        TwoInputProduction((1,), (1,), 1, -2, p)
     with pytest.raises(ValueError):
-        TwoInputProduction(g, (1, 2), (1,), 1, 1, p)
+        TwoInputProduction((1, 2), (1,), 1, 1, p)
 
 
 def test_production_refuses_fractional_exact_exponent():
@@ -103,11 +103,11 @@ def test_production_refuses_fractional_exact_exponent():
     for field in ("alpha", "beta"):
         expos = {"alpha": 2, "beta": 1, field: Fraction(1, 2)}
         with pytest.raises(ValueError, match=f"{field}.*integer exponent"):
-            TwoInputProduction(g, (4, 1), (9, 0), p=p, **expos)
+            TwoInputProduction((4, 1), (9, 0), p=p, **expos)
     # an integral Fraction stays exact; a float exponent still falls back to float
-    exact = production_table(TwoInputProduction(g, (4, 1), (9, 0), Fraction(2), 1, p))
+    exact = production_table(TwoInputProduction((4, 1), (9, 0), Fraction(2), 1, p))
     assert exact.exact and exact.values[-1] == Fraction(3, 8) * 25 * 9 + Fraction(1, 8) * 16 * 9
-    floats = production_table(TwoInputProduction(g, (4, 1), (9, 0), 0.5, 1, p))
+    floats = production_table(TwoInputProduction((4, 1), (9, 0), 0.5, 1, p))
     assert not floats.exact and all(isinstance(v, float) for v in floats.values)
 
 
@@ -118,7 +118,7 @@ def test_production_increasing_random():
         sc = random_production(rng, _ground(n))
         table = production_table(sc)
         assert is_increasing(table)
-        assert sc.ground.full in optimal_strategies(table)
+        assert sc.p.ground.full in optimal_strategies(table)
 
 
 # -- military strike ----------------------------------------------------------
@@ -127,7 +127,7 @@ def test_production_increasing_random():
 def test_military_single_site_worked_example():
     g = _ground(1)
     fam = up_closure(g, [1])
-    sc = MilitaryScenario(g, fam, fam, CoinVector(g, (0.5,)))
+    sc = MilitaryScenario(fam, fam, CoinVector(g, (0.5,)))
     both, neither, one = military_tables(sc)
     assert close(both.values[0], 0.25) and close(both.values[1], 0.5)
     assert close(neither.values[0], 0.25) and close(neither.values[1], 0.5)
@@ -138,7 +138,7 @@ def test_military_disjoint_networks_decouple():
     g = GroundSet(["r1", "r2", "b1"])
     red = up_closure(g, [g.mask_of(["r1", "r2"])])
     blue = up_closure(g, [g.mask_of(["b1"])])
-    sc = MilitaryScenario(g, red, blue, CoinVector(g, (Fraction(2, 3),) * g.n))
+    sc = MilitaryScenario(red, blue, CoinVector(g, (Fraction(2, 3),) * g.n))
     both, _, _ = military_tables(sc)
     assert all(v == both.values[0] for v in both.values)
 
@@ -154,7 +154,7 @@ def test_military_outcome_structure_random():
         assert is_decreasing(one)
         total = both + neither + one
         assert all(close(v, 1) for v in total.values)
-        assert sc.ground.full in optimal_strategies(both)
+        assert sc.p.ground.full in optimal_strategies(both)
 
 
 def test_military_matches_oracle():
@@ -191,7 +191,7 @@ def test_military_is_convolution_of_indicators():
 def test_merger_two_shareholder_worked_example():
     g = _ground(2)
     nonempty = SetFunction(g, (0, 1, 1, 1))
-    sc = MergerScenario(g, nonempty, nonempty, CoinVector(g, (0.5,) * g.n))
+    sc = MergerScenario(nonempty, nonempty, CoinVector(g, (0.5,) * g.n))
     table = merger_table(sc)
     assert close(table(0), 0.5625)
     assert close(table(g.full), 0.75)
@@ -201,7 +201,7 @@ def test_merger_dictator():
     g = _ground(2)
     dictator = SetFunction(g, (0, 1, 0, 1))  # h0 decides alone
     q = Fraction(2, 7)
-    sc = MergerScenario(g, dictator, dictator, CoinVector(g, (q, Fraction(1, 3))))
+    sc = MergerScenario(dictator, dictator, CoinVector(g, (q, Fraction(1, 3))))
     table = merger_table(sc)
     assert table(0) == q * q
     assert table(g.bit("h0")) == q
@@ -239,13 +239,25 @@ def test_merger_rejects_bad_voting_rules():
     p = CoinVector(g, (0.5,) * g.n)
     good = SetFunction(g, (0, 1, 1, 1))
     with pytest.raises(ValueError):
-        MergerScenario(g, SetFunction(g, (1, 1, 1, 1)), good, p)  # empty set wins
+        MergerScenario(SetFunction(g, (1, 1, 1, 1)), good, p)  # empty set wins
     with pytest.raises(ValueError):
-        MergerScenario(g, SetFunction(g, (0, 0, 0, 0)), good, p)  # full set loses
+        MergerScenario(SetFunction(g, (0, 0, 0, 0)), good, p)  # full set loses
     with pytest.raises(ValueError):
-        MergerScenario(g, SetFunction(g, (0, 1, 1, 0)), good, p)  # not increasing
+        MergerScenario(SetFunction(g, (0, 1, 1, 0)), good, p)  # not increasing
     with pytest.raises(ValueError):
-        MergerScenario(g, SetFunction(g, (0, 0.5, 1, 1)), good, p)  # not 0/1
+        MergerScenario(SetFunction(g, (0, 0.5, 1, 1)), good, p)  # not 0/1
+
+
+@pytest.mark.parametrize("model", [MilitaryScenario, MergerScenario])
+def test_functions_off_the_coins_ground_rejected(model):
+    # a model's ground set is its coin vector's; each function must share it
+    g = _ground(2)
+    rule = SetFunction(g, (0, 1, 1, 1))
+    other = SetFunction(GroundSet(["x", "y"]), (0, 1, 1, 1))
+    p = CoinVector(g, (0.5,) * g.n)
+    for pair in ((other, rule), (rule, other)):
+        with pytest.raises(ValueError, match="different ground sets"):
+            model(*pair, p)
 
 
 # -- weighted voting ----------------------------------------------------------
