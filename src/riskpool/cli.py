@@ -147,14 +147,16 @@ def _ground(cfg: Mapping, field: str, limit: int | None, reserved: Sequence[str]
     return ground
 
 
+def _per_element(obj: object, ground: GroundSet, mode: str, path: str, what: str) -> tuple[Value, ...]:
+    """The values of an object keyed by element names, in ground-set order."""
+    if not isinstance(obj, dict) or set(obj) != set(ground.labels):
+        raise ConfigError(f"{path}: must give exactly one {what} per element")
+    return tuple(_value(obj[h], mode, f"{path}.{h}") for h in ground.labels)
+
+
 def _coins(cfg: Mapping, ground: GroundSet, mode: str) -> CoinVector:
-    obj = cfg.get("p")
-    if not isinstance(obj, dict):
-        raise ConfigError("p: expected an object mapping element to probability")
-    if set(obj) != set(ground.labels):
-        raise ConfigError("p: must give exactly one probability per element")
     try:
-        return CoinVector(ground, (_value(obj[h], mode, f"p.{h}") for h in ground.labels))
+        return CoinVector(ground, _per_element(cfg.get("p"), ground, mode, "p", "probability"))
     except ValueError as exc:
         raise ConfigError(f"p: {exc}") from None
 
@@ -229,17 +231,11 @@ def _voting_rule(obj: object, ground: GroundSet, mode: str, path: str) -> SetFun
         raise ConfigError(f"{path}: give exactly one of 'weights' (with 'quota') or 'table'")
     if "table" in obj:
         return _setfunction({"table": obj["table"]}, ground, mode, path)
-    wobj = obj["weights"]
-    if not isinstance(wobj, dict) or set(wobj) != set(ground.labels):
-        raise ConfigError(f"{path}.weights: must give exactly one weight per element")
+    weights = _per_element(obj["weights"], ground, mode, f"{path}.weights", "weight")
     if "quota" not in obj:
         raise ConfigError(f"{path}: voting weights need a 'quota'")
     try:
-        return weighted_voting(
-            ground,
-            tuple(_value(wobj[h], mode, f"{path}.weights.{h}") for h in ground.labels),
-            _value(obj["quota"], mode, f"{path}.quota"),
-        )
+        return weighted_voting(ground, weights, _value(obj["quota"], mode, f"{path}.quota"))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -259,6 +255,8 @@ def _load_config(path: str, mode_flag: str | None, expected_kinds: Sequence[str]
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
     try:
         cfg = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -279,25 +277,23 @@ def _load_config(path: str, mode_flag: str | None, expected_kinds: Sequence[str]
 # ---------------------------------------------------------------- reports
 
 
-def _emit(report: dict, out: str | None, tables: Mapping[str, Mapping[str, object]], want_csv: bool) -> None:
+def _emit(report: dict, out: str | None, tables: Mapping[str, Mapping[str, object]], want_csv: bool) -> int:
+    """Print the report, write it (and its tables as CSV) under out, and
+    return the exit code: 0 when the verdict is "pass", 1 otherwise."""
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     print(text)
-    if out is None:
-        return
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
-    if want_csv:
-        for name, table in tables.items():
-            with open(out_dir / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["subset", "value"])
-                for key in sorted(table):
-                    writer.writerow([key, table[key]])
-
-
-def _exit_code(report: dict) -> int:
-    return 0 if report.get("verdict") == "pass" else 1
+    if out is not None:
+        out_dir = Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
+        if want_csv:
+            for name, table in tables.items():
+                with open(out_dir / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
+                    writer = csv.writer(fh)
+                    writer.writerow(["subset", "value"])
+                    for key in sorted(table):
+                        writer.writerow([key, table[key]])
+    return 0 if report["verdict"] == "pass" else 1
 
 
 # ---------------------------------------------------------------- convolve
@@ -345,23 +341,16 @@ def _cmd_convolve(args) -> int:
         "violations": violations,
         "verdict": "pass" if not violations else "fail",
     }
-    _emit(report, args.out, {"convolution": report["table"]}, args.csv)
-    return _exit_code(report)
+    return _emit(report, args.out, {"convolution": report["table"]}, args.csv)
 
 
 # ---------------------------------------------------------------- scenario
 
 
 def _production(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> TwoInputProduction:
-    def amounts(field: str) -> tuple[Value, ...]:
-        obj = cfg.get(field)
-        if not isinstance(obj, dict) or set(obj) != set(ground.labels):
-            raise ConfigError(f"{field}: must give one amount per supplier")
-        return tuple(_value(obj[h], mode, f"{field}.{h}") for h in ground.labels)
-
     return TwoInputProduction(
-        amounts("x"),
-        amounts("y"),
+        _per_element(cfg.get("x"), ground, mode, "x", "amount"),
+        _per_element(cfg.get("y"), ground, mode, "y", "amount"),
         _value(cfg.get("alpha"), mode, "alpha"),
         _value(cfg.get("beta"), mode, "beta"),
         p,
@@ -446,8 +435,7 @@ def _cmd_scenario(args) -> int:
         "checks": checks,
         "verdict": "pass" if all(checks.values()) else "fail",
     }
-    _emit(report, args.out, tables, args.csv)
-    return _exit_code(report)
+    return _emit(report, args.out, tables, args.csv)
 
 
 # ---------------------------------------------------------------- game
@@ -540,43 +528,42 @@ def _conditioning(
     return out
 
 
+def _row_values(row: int, arrays: Sequence[np.ndarray], scales: Sequence[int]) -> list[Value]:
+    """One row of batched arrays, integer ones as Fractions over their scales."""
+    return [Fraction(a[row], sc) if a.dtype == object else float(a[row]) for a, sc in zip(arrays, scales)]
+
+
 def _expost_sweep(spec: GameSpec, profile: StrategyProfile) -> dict:
     """Check that merging blocks i < j never hurts player h, at every
     conditioning of the other blocks, all of a pair's conditionings in one
     batch.  The scalar conditional_payoffs and conditional_block_factors
-    recompute one row of each batch, and must agree with it."""
-    total_blocks = sum(len(s.blocks) for s in profile.strategies)
-    if total_blocks > EXPOST_BLOCK_CAP:
-        raise ConfigError(f"ex-post sweep is limited to {EXPOST_BLOCK_CAP} blocks")
+    recompute one row of each batch, and must agree with it; a failing
+    row's certificate is read from the batch.  The caller keeps the
+    profile within EXPOST_BLOCK_CAP blocks."""
     checked = 0
     for hi, h in enumerate(spec.suppliers):
         ph = spec.p.p[hi]
         for i, j in itertools.combinations(range(len(profile.strategies[hi].blocks)), 2):
             arrived, factors, scales = conditional_block_rows(spec, profile, h, i, j)
             sep, merged, identity, scale = _merging_rows(ph, factors, scales)
-            exact = sep.dtype == object
             mixed = len(arrived) * 2 // 3  # free blocks 1010...: some arrived, some not
             given = _conditioning(spec, profile, arrived[mixed].tolist(), h, i, j)
             scalar = conditional_payoffs(spec, profile, h, i, j, given)
             scalar += conditional_block_factors(spec, profile, h, i, j, given)
-            batch = [
-                Fraction(arr[mixed], sc) if exact else float(arr[mixed])
-                for arr, sc in zip((sep, merged) + factors, (scale, scale) + scales)
-            ]
+            batch = _row_values(mixed, (sep, merged) + factors, (scale, scale) + scales)
             if not all(map(close, scalar, batch)):
                 raise RuntimeError(f"batched ex-post rows of {h!r} disagree with conditional_payoffs")
             failed = np.flatnonzero(~geq_array(merged, sep) | ~close_array(merged - sep, identity))
             if failed.size:
                 row = int(failed[0])
-                conditioning = _conditioning(spec, profile, arrived[row].tolist(), h, i, j)
-                sep_value, merged_value = conditional_payoffs(spec, profile, h, i, j, conditioning)
+                sep_value, merged_value = _row_values(row, (sep, merged), (scale, scale))
                 return {
                     "checked": checked + row + 1,
                     "holds": False,
                     "violation": {
                         "player": h,
                         "blocks": [i, j],
-                        "conditioning": conditioning,
+                        "conditioning": _conditioning(spec, profile, arrived[row].tolist(), h, i, j),
                         "separate": format_value(sep_value),
                         "merged": format_value(merged_value),
                     },
@@ -599,6 +586,9 @@ def _cmd_game_analyze(args) -> int:
     profile = _game_profile(cfg, spec)
     lists = [spec.strategies(h) for h in spec.suppliers]
     profile_count = math.prod(len(lst) for lst in lists)
+    expost_profile = profile if profile is not None else spec.finest_profile()
+    if sum(len(s.blocks) for s in expost_profile.strategies) > EXPOST_BLOCK_CAP:
+        raise ConfigError(f"ex-post sweep is limited to {EXPOST_BLOCK_CAP} blocks")
 
     # The verdict builds the spec's payoff arrays, which the tables then read.
     violations, nash, nash_has_coarse = _game_verdict(spec)
@@ -624,7 +614,6 @@ def _cmd_game_analyze(args) -> int:
             }
         dominance[h] = entry
 
-    expost_profile = profile if profile is not None else spec.finest_profile()
     expost = _expost_sweep(spec, expost_profile)
 
     report: dict[str, object] = {
@@ -646,8 +635,7 @@ def _cmd_game_analyze(args) -> int:
         report["profile_payoffs"] = {
             h: format_value(expected_payoff(spec, profile, h)) for h in spec.suppliers
         }
-    _emit(report, args.out, {}, False)
-    return _exit_code(report)
+    return _emit(report, args.out, {}, False)
 
 
 def _within_band(est, exact: float) -> bool:
@@ -686,8 +674,7 @@ def _cmd_game_simulate(args) -> int:
         "per_player": per_player,
         "verdict": "pass" if ok else "fail",
     }
-    _emit(report, args.out, {}, False)
-    return _exit_code(report)
+    return _emit(report, args.out, {}, False)
 
 
 # ---------------------------------------------------------------- verify
@@ -894,11 +881,11 @@ def _cmd_verify(args) -> int:
         "checks": checks,
         "verdict": "pass" if ok else "fail",
     }
-    _emit(report, args.out, {}, False)
+    code = _emit(report, args.out, {}, False)
     for c in checks:
         status = "ok" if c["ok"] else "FAIL"
         print(f"{c['name']}: {status} ({c['instances']} instances)", file=sys.stderr)
-    return _exit_code(report)
+    return code
 
 
 # ---------------------------------------------------------------- wiring

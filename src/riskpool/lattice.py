@@ -174,16 +174,6 @@ def _zeta(a: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-def _is_monotone(f: SetFunction, increasing: bool) -> bool:
-    """True when every covering pair (S, S + {i}) steps up (or down)."""
-    table = scaled_array(f.values, f.exact)[0]
-    for i in range(f.ground.n):
-        lo, hi = _halves(table, i)
-        if not (geq_array(hi, lo) if increasing else geq_array(lo, hi)).all():
-            return False
-    return True
-
-
 def is_increasing(f: SetFunction) -> bool:
     """True when f(S) <= f(T) for every S <= T (checked on covering pairs).
 
@@ -191,23 +181,28 @@ def is_increasing(f: SetFunction) -> bool:
     and compared as integers.  A table holding any float is compared in
     float64 within the `numerics.geq` slack.
     """
-    return _is_monotone(f, True)
+    table = scaled_array(f.values, f.exact)[0]
+    for i in range(f.ground.n):
+        lo, hi = _halves(table, i)
+        if not geq_array(hi, lo).all():
+            return False
+    return True
 
 
 def is_decreasing(f: SetFunction) -> bool:
-    return _is_monotone(f, False)
+    """is_increasing of -f.  Negation is exact, and in float64 (-hi) - (-lo)
+    is lo - hi bit for bit, with the same slack."""
+    return is_increasing(-f)
 
 
 def up_closure(ground: GroundSet, seeds: Iterable[int]) -> SetFunction:
     """0/1 indicator, with int values, of the smallest up-closed family of
-    subsets (every superset of a member is a member) holding the seeds."""
+    subsets (every superset of a member is a member) holding the seeds: the
+    zeta transform of the seeds' boolean table, on which + is OR."""
     member = np.zeros(1 << ground.n, dtype=bool)
     for s in seeds:
         member[ground.check_mask(s)] = True
-    for i in range(ground.n):
-        lo, hi = _halves(member, i)
-        hi |= lo
-    return SetFunction(ground, member.astype(int).tolist())
+    return SetFunction(ground, _zeta(member, ground.n).astype(int).tolist())
 
 
 def product_measure_table(p: CoinVector) -> list[Value]:
@@ -234,11 +229,12 @@ def from_moebius_weights(ground: GroundSet, weights: Mapping[int, Value]) -> Set
     tab = np.zeros(1 << ground.n, dtype=object)
     for mask, w in weights.items():
         tab[ground.check_mask(mask)] = tab[mask] + w
-    return SetFunction(ground, _zeta(tab, ground.n).tolist())
+    with np.errstate(over="ignore"):  # a float sum past float range is SetFunction's error
+        return SetFunction(ground, _zeta(tab, ground.n).tolist())
 
 
 def random_increasing(
-    rng: random.Random | int,
+    rng: random.Random,
     ground: GroundSet,
     weight_count: int,
     *,
@@ -250,10 +246,8 @@ def random_increasing(
     Draws `weight_count` weighted subsets and accumulates their zeta
     transform, so monotonicity holds by construction.  With `strict`, every
     singleton receives a positive weight, which makes the function strictly
-    increasing.  Deterministic for a given seed.
+    increasing.  Deterministic for a given state of rng.
     """
-    if not isinstance(rng, random.Random):
-        rng = random.Random(rng)
     weights: dict[int, Value] = {}
     size = 1 << ground.n
 

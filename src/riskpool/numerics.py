@@ -84,13 +84,11 @@ def close_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def argmax_ties(values: Sequence[Value]) -> list[int]:
-    """Indices attaining the maximum.
+    """Indices attaining the maximum, ascending.
 
     Exact values tie only on equality; floats tie within the relative
     tolerance of the maximum.
     """
-    if not values:
-        raise ValueError("argmax of empty sequence")
     best = max(values)
     if all_exact(values):
         return [i for i, v in enumerate(values) if v == best]
@@ -130,18 +128,15 @@ def coin_ratio(p: Value, exact: bool) -> tuple[Value, int]:
 
 
 def power(base: Value, expo: Value) -> Value:
-    """base**expo with the convention 0**a := 0 for a > 0.
+    """base**expo with the convention 0**a := 0 for a > 0 (0**0 and 0 to a
+    negative power are left to Python: 1 and ZeroDivisionError).
 
     Stays exact when both operands are rational and the exponent is an
     integer; otherwise falls back to float arithmetic.  Raises ValueError,
     before computing, when an exact result might pass 4,300 digits.
     """
-    if base == 0:
-        if expo > 0:
-            return 0
-        if expo == 0:
-            return 1
-        raise ZeroDivisionError("0 cannot be raised to a negative power")
+    if base == 0 and expo > 0:
+        return 0
     if is_exact(base) and isinstance(expo, (int, Fraction)) and expo.denominator == 1:
         # Neither operand is printed: either may be too long to convert.
         bits = max(base.numerator.bit_length(), base.denominator.bit_length())

@@ -353,14 +353,10 @@ def _table_product(
     return weights
 
 
-def _payoff_tables(spec: GameSpec, hi: int) -> list[tuple[Value, ...]]:
-    return [row[hi].values for row in spec.payoffs]
-
-
 def _table_arrays(spec: GameSpec, hi: int) -> tuple[list[np.ndarray], list[int]]:
     """Player hi's payoff tables as numerics.scaled_array makes them, with
     one scale per commodity."""
-    scaled = [scaled_array(tab, spec.exact) for tab in _payoff_tables(spec, hi)]
+    scaled = [scaled_array(row[hi].values, spec.exact) for row in spec.payoffs]
     return [tab for tab, _ in scaled], [scale for _, scale in scaled]
 
 
@@ -519,7 +515,7 @@ def conditional_block_factors(
             elif bit:
                 for k in block:
                     base[spec.k_index(k)] |= 1 << gi
-    tables = _payoff_tables(spec, hi)
+    tables = [row[hi].values for row in spec.payoffs]
     hbit = 1 << hi
     block_i = [spec.k_index(k) for k in strat.blocks[i]]
     block_j = [spec.k_index(k) for k in strat.blocks[j]]

@@ -168,5 +168,5 @@ def weighted_voting(ground: GroundSet, weights: Sequence[Value], quota: Value) -
 
 
 def optimal_strategies(table: SetFunction) -> list[int]:
-    """Masks maximizing the table; ties resolved by the numeric mode."""
-    return sorted(argmax_ties(table.values))
+    """Masks maximizing the table, ascending; ties resolved by the numeric mode."""
+    return argmax_ties(table.values)

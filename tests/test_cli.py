@@ -15,8 +15,14 @@ from hypothesis import strategies as st
 
 from riskpool import cli, partition_game
 from riskpool.cli import main
-from riskpool.convolution import convolve
-from riskpool.lattice import CoinVector, GroundSet, SetFunction
+from riskpool.convolution import convolve, partition_expectation
+from riskpool.lattice import (
+    CoinVector,
+    GroundSet,
+    SetFunction,
+    all_monotone_indicators,
+    from_moebius_weights,
+)
 from riskpool.montecarlo import EstimateReport
 from riskpool.numerics import parse_value, power
 from riskpool.partition_game import DominanceViolation, GameSpec
@@ -150,6 +156,58 @@ def test_max_ground_enforced(tmp_path, capsys):
     cfg = _write(tmp_path, "conv.json", CONV_CONFIG)
     code, _, err = _run(capsys, ["convolve", "--config", cfg, "--max-ground", "1"])
     assert code == 2
+
+
+def _verdicts(*verdicts):
+    """A stand-in check that gives these verdicts, one per call."""
+    it = iter(verdicts)
+    return lambda f: next(it)
+
+
+def _shifted_table(entry, by):
+    """cli.convolve with one entry of its table moved by `by`."""
+    def shifted(f, g, p):
+        values = list(convolve(f, g, p).values)
+        values[entry] += by
+        return SetFunction(f.ground, values)
+    return shifted
+
+
+def _swapped_endpoints(f, g, p):
+    values = list(convolve(f, g, p).values)
+    values[0], values[-1] = values[-1], values[0]
+    return SetFunction(f.ground, values)
+
+
+def _swapped_expectations(fns, blocks, p):
+    """partition_expectation of the other partition of two functions."""
+    return partition_expectation(fns, ((0, 1),) if len(blocks) == 2 else ((0,), (1,)), p)
+
+
+@pytest.mark.parametrize(
+    "patches, violations",
+    [
+        # the table of two increasing inputs is reported as not increasing
+        ({"is_increasing": _verdicts(True, True, False)},
+         ["inputs increasing but the convolution is not"]),
+        # E[fg] and E[f]E[g] trade places, and so do the table's endpoints
+        ({"partition_expectation": _swapped_expectations, "convolve": _swapped_endpoints,
+          "is_increasing": lambda f: True},
+         ["negative correlation gap for increasing inputs"]),
+        ({"convolve": _shifted_table(0, -1)},
+         ["empty-set value differs from the product of expectations"]),
+        ({"convolve": _shifted_table(-1, 1)},
+         ["full-set value differs from the expectation of the product"]),
+    ],
+    ids=["not-increasing", "negative-gap", "empty-endpoint", "full-endpoint"],
+)
+def test_convolve_reports_each_violation(tmp_path, capsys, monkeypatch, patches, violations):
+    for name, fake in patches.items():
+        monkeypatch.setattr(cli, name, fake)
+    cfg = _write(tmp_path, "conv.json", CONV_CONFIG)
+    code, out, _ = _run(capsys, ["convolve", "--config", cfg])
+    report = json.loads(out)
+    assert (code, report["verdict"], report["violations"]) == (1, "fail", violations)
 
 
 # -- scenario -------------------------------------------------------------------
@@ -410,6 +468,113 @@ def test_verify_reports_a_failing_sweep(monkeypatch, capsys):
     assert captured.err.count(": ok") == 8
 
 
+def _with_empty_set_indicator(ground):
+    """Every monotone 0/1 table, then the decreasing indicator of {}."""
+    return all_monotone_indicators(ground) + [
+        SetFunction(ground, [int(m == 0) for m in ground.subsets()])
+    ]
+
+
+def _every_second_negated(real):
+    """A function generator whose every second function comes out negated."""
+    calls = []
+
+    def draw(*args, **kwargs):
+        calls.append(None)
+        f = real(*args, **kwargs)
+        return -f if len(calls) % 2 == 0 else f
+    return draw
+
+
+def _nash_per_spec(rule):
+    """find_nash, replaced by rule(real result, whether scaled_spec built the spec)."""
+    find_nash, scaled_spec = cli.find_nash, cli.scaled_spec
+    scaled = []
+
+    def recording_scaled_spec(spec, kappa):
+        out = scaled_spec(spec, kappa)
+        scaled.append(out)
+        return out
+    return {
+        "find_nash": lambda spec: rule(find_nash(spec), any(spec is s for s in scaled)),
+        "scaled_spec": recording_scaled_spec,
+    }
+
+
+# One injected fault per certificate form: sweep, patches of cli names,
+# instances up to the first failure, and that failure's certificate.
+VERIFY_FAULTS = {
+    "monotone_exhaustive": (
+        "monotone_exhaustive",
+        lambda: {"all_monotone_indicators": _with_empty_set_indicator},
+        8, {"n": 1, "p": ["1/4"], "f": [0, 1], "g": [1, 0]},
+    ),
+    "monotone_random": (
+        "monotone_random",
+        lambda: {"random_increasing": _every_second_negated(cli.random_increasing)},
+        2, {"n": 2},
+    ),
+    "monotone_random-harris": (
+        "monotone_random",
+        lambda: {"harris_gap": lambda f, g, p: -1},
+        1, {"n": 1, "property": "harris"},
+    ),
+    "oracle_equivalence": (
+        "oracle_equivalence",
+        lambda: {"convolve_bruteforce": lambda f, g, p, mask: Fraction(-1, 3)},
+        1, {"n": 1, "subset": "", "fast": 1.5671011632809864, "direct": "-1/3"},
+    ),
+    "single_element_identity": (
+        # f(h0) and g(h0) are read one higher than the certificate states
+        "single_element_identity",
+        lambda: {"SetFunction": lambda ground, values: SetFunction(
+            ground, (values[0], values[1] + 1))},
+        1, {"f": ["-5/3", "-3/2"], "g": [0, -8], "p": "1/12"},
+    ),
+    "game_dominance_nash-missing": (
+        "game_dominance_nash",
+        lambda: _nash_per_spec(lambda nash, scaled: []),
+        1, {"missing": "all-coarse profile"},
+    ),
+    "game_dominance_nash-expected": (
+        "game_dominance_nash",
+        lambda: _nash_per_spec(lambda nash, scaled: nash + nash),
+        1, {"expected": "unique equilibrium under strict payoffs", "found": 2},
+    ),
+    "scaling_invariance-player": (
+        "scaling_invariance",
+        lambda: {"best_replies": lambda spec, profile, h: [id(spec)]},
+        1, {"player": "s1"},
+    ),
+    "scaling_invariance-nash": (
+        "scaling_invariance",
+        lambda: _nash_per_spec(lambda nash, scaled: nash[:0] if scaled else nash),
+        1, {"difference": "nash set"},
+    ),
+    "montecarlo_consistency": (
+        "montecarlo_consistency",
+        lambda: {"estimate_payoff": lambda spec, profile, h, samples, seed: EstimateReport(
+            -1.0, 0.0, samples, seed)},
+        1, {"exact": 52.0458984375, "mean": -1.0, "stderr": 0.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", VERIFY_FAULTS)
+def test_verify_certifies_each_injected_fault(monkeypatch, capsys, fault):
+    name, patches, instances, certificate = VERIFY_FAULTS[fault]
+    for attr, fake in patches().items():
+        monkeypatch.setattr(cli, attr, fake)
+    code = main(["verify", "--max-ground", "2", "--samples", "2000", "--seed", "1"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (code, report["verdict"]) == (1, "fail")
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == [name]
+    check = next(c for c in report["checks"] if c["name"] == name)
+    assert (check["instances"], check["certificate"]) == (instances, certificate)
+    assert f"{name}: FAIL ({instances} instances)" in captured.err.splitlines()
+
+
 # -- error handling ----------------------------------------------------------------
 
 
@@ -643,6 +808,80 @@ def test_config_error_paths(tmp_path, capsys):
     notjson.write_text("{nope")
     assert main(["convolve", "--config", str(notjson)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "base, change, message",
+    [
+        (CONV_CONFIG, {"ground": ["a", "a"]}, "ground: ground-set labels must be distinct"),
+        (dict(CONV_CONFIG, mode="float"), {"f": {"weights": {"": 1e308, "a": 1e308}}},
+         "f.weights: non-finite value inf"),
+        (MILITARY_CONFIG, {"red": {"seeds": "t"}}, "red.seeds: expected a list of subsets"),
+        (MILITARY_CONFIG, {"blue": {"members": 5}}, "blue.members: expected a list of subsets"),
+        (MILITARY_CONFIG, {"red": {"seeds": [["z"]]}},
+         "red.seeds[0]: \"unknown element 'z'\""),
+        (MILITARY_CONFIG, {"blue": {"members": [["t"], ["z"]]}},
+         "blue.members[1]: \"unknown element 'z'\""),
+        (MERGER_CONFIG, {"b": {"weights": {"u": 1, "v": 1}}}, "b: voting weights need a 'quota'"),
+        (GAME_CONFIG, {"profile": {"h1": [["oil", "gas"]], "h3": [["oil"]]}},
+         "profile: profile must name exactly the suppliers"),
+        # one value per element: the same message for the coins, the
+        # production amounts and the voting weights
+        (CONV_CONFIG, {"p": ["1/2", "1/4"]}, "p: must give exactly one probability per element"),
+        (PRODUCTION_CONFIG, {"x": {}}, "x: must give exactly one amount per element"),
+        (MERGER_CONFIG, {"b": {"weights": {"u": 1}, "quota": 1}},
+         "b.weights: must give exactly one weight per element"),
+    ],
+)
+def test_config_refusals_name_their_path(tmp_path, capsys, base, change, message):
+    command = {"convolution": ["convolve"], "game": ["game", "analyze"]}.get(base["kind"], ["scenario"])
+    cfg = _write(tmp_path, "c.json", dict(base, **change))
+    assert _run(capsys, [*command, "--config", cfg]) == (2, "", f"config error: {message}\n")
+
+
+def test_weights_form_is_the_moebius_sum(tmp_path, capsys):
+    weights = {"": 1, "a": 2, "a,b": "1/2"}
+    cfg = _write(tmp_path, "c.json", dict(CONV_CONFIG, f={"weights": weights}))
+    code, out, _ = _run(capsys, ["convolve", "--config", cfg])
+    assert code == 0
+    g = GroundSet(["a", "b"])
+    f = from_moebius_weights(g, {0: 1, 1: 2, 3: Fraction(1, 2)})
+    table = convolve(f, SetFunction(g, (2, 5, 2, 5)), CoinVector(g, (Fraction(1, 2), Fraction(1, 4))))
+    assert json.loads(out)["table"] == cli._table_json(table)
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(
+        b'{"kind": "convolution", "ground": ["\xe9"], "p": {"\xe9": "1/2"}, '
+        b'"f": {"constant": 1}, "g": {"constant": 2}}'
+    )
+    code, out, err = _run(capsys, ["convolve", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {path}: ") and " 36" in err
+
+
+def test_expost_cap_is_checked_before_the_analysis(tmp_path, capsys, monkeypatch):
+    # 6 suppliers owning 3 commodities each: 15,625 profiles, and the
+    # finest profile's 18 blocks exceed the ex-post sweep's 16.
+    builds = []
+    build = partition_game._build_payoff_arrays
+    monkeypatch.setattr(
+        partition_game, "_build_payoff_arrays", lambda *args: builds.append(1) or build(*args)
+    )
+    hs, ks = [f"h{i}" for i in range(6)], ["a", "b", "c"]
+    cfg = {
+        "kind": "game",
+        "mode": "float",
+        "commodities": ks,
+        "suppliers": hs,
+        "p": dict.fromkeys(hs, 0.5),
+        "supply": dict.fromkeys(hs, ks),
+        "payoffs": dict.fromkeys(ks, {"constant": 1}),
+    }
+    code, out, err = _run(capsys, ["game", "analyze", "--config", _write(tmp_path, "c.json", cfg)])
+    assert (code, out, err) == (2, "", "config error: ex-post sweep is limited to 16 blocks\n")
+    assert builds == []
 
 
 # GAME_CONFIG with one-letter commodities, so that a string is also a list of names

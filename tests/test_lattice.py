@@ -415,6 +415,6 @@ def test_random_increasing_exact_and_strict():
 
 def test_random_increasing_accepts_int_seed():
     g = _ground(3)
-    a = random_increasing(123, g, 4)
-    b = random_increasing(123, g, 4)
+    a = random_increasing(random.Random(123), g, 4)
+    b = random_increasing(random.Random(123), g, 4)
     assert a.values == b.values

@@ -737,6 +737,38 @@ def test_strictly_increasing_payoffs_give_unique_nash():
         assert nash == [spec.coarse_profile()]
 
 
+def test_check_dominance_returns_the_first_violation():
+    # h1's factor for a falls when h1 delivers it, but only while h2's
+    # shipment of a is missing, which the spec refuses, so it is set past
+    # validation.  c pays h1 only when h2's shipment of c arrives.  Against
+    # h2's coarse strategy h2's a arrives with its c, so h1's coarse and
+    # split strategies tie; against h2's split one, coarse pays 7/8 < 15/16.
+    g = GroundSet(["h1", "h2"])
+    up = SetFunction(g, (1, 2, 1, 2))
+    spec = GameSpec.build(
+        ["a", "b", "c"],
+        {"h1": ["a", "b"], "h2": ["a", "c"]},
+        CoinVector(g, (F(1, 2), F(1, 2))),
+        {
+            "a": {"h1": SetFunction.constant(g, 1), "h2": up},
+            "b": {"h1": up, "h2": up},
+            "c": {"h1": SetFunction(g, (0, 0, 1, 1)), "h2": up},
+        },
+    )
+    rows = list(spec.payoffs)
+    rows[0] = (SetFunction(g, (2, 1, 1, 1)), up)
+    object.__setattr__(spec, "payoffs", tuple(rows))
+    violation = check_dominance(spec, "h1")
+    coarse, split = spec.strategy("h1", [["a", "b"]]), spec.strategy("h1", [["a"], ["b"]])
+    h2_split = spec.strategy("h2", [["a"], ["c"]])
+    assert violation == partition_game.DominanceViolation(
+        (h2_split,), coarse, split, F(7, 8), F(15, 16)
+    )
+    for strat, pay in ((coarse, F(7, 8)), (split, F(15, 16))):
+        assert _oracle_payoff(spec, StrategyProfile((strat, h2_split)), "h1") == pay
+    assert check_dominance(spec, "h2") is None
+
+
 def test_two_supplier_example_full_analysis():
     spec = _two_supplier_spec()
     for h in spec.suppliers:
