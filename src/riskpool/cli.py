@@ -95,7 +95,7 @@ def _parse_key(ground: GroundSet, key: str, path: str) -> int:
     labels = [] if key == "" else key.split(",")
     try:
         return ground.mask_of(labels)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: bad subset key {key!r}: {exc}") from None
 
 
@@ -205,7 +205,7 @@ def _subset_list(obj: object, ground: GroundSet, path: str) -> list[int]:
             raise ConfigError(f"{path}[{idx}]: expected a list of element names")
         try:
             out.append(ground.mask_of(entry))
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}[{idx}]: {exc}") from None
     return out
 
@@ -466,8 +466,8 @@ def _game_spec(cfg: Mapping, mode: str, limit: int | None) -> GameSpec:
                 for h, sub in entry.items()
             }
     try:
-        return GameSpec.build(commodities, supply, p, payoffs)
-    except (ValueError, KeyError) as exc:
+        return GameSpec(commodities, supply, p, payoffs)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -484,7 +484,7 @@ def _game_profile(cfg: Mapping, spec: GameSpec) -> StrategyProfile | None:
             raise ConfigError(f"profile.{h}: expected a list of blocks of commodity names")
     try:
         return spec.profile(obj)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"profile: {exc}") from None
 
 

@@ -138,7 +138,7 @@ def random_game_spec(
 
     payoffs = {k: {h: family() for h in suppliers} for k in commodities}
     p = random_coin_vector(rng, hground, choices=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
-    return GameSpec.build(commodities, supply, p, payoffs)
+    return GameSpec(commodities, supply, p, payoffs)
 
 
 def random_profile(rng: random.Random, spec: GameSpec) -> StrategyProfile:

@@ -55,7 +55,7 @@ class GroundSet:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise KeyError(f"unknown element {label!r}") from None
+            raise ValueError(f"unknown element {label!r}") from None
 
     def bit(self, label: str) -> int:
         return 1 << self.index(label)

@@ -63,18 +63,6 @@ class PartitionStrategy:
         return frozenset(k for b in self.blocks for k in b)
 
 
-def _canonical_blocks(
-    blocks: Iterable[Iterable[str]], order: Sequence[str]
-) -> tuple[tuple[str, ...], ...]:
-    pos = {k: i for i, k in enumerate(order)}
-    try:
-        sorted_blocks = [tuple(sorted(b, key=pos.__getitem__)) for b in blocks]
-    except KeyError as exc:
-        raise ValueError(f"unknown commodity {exc.args[0]!r}") from None
-    sorted_blocks.sort(key=lambda b: pos[b[0]] if b else -1)
-    return tuple(sorted_blocks)
-
-
 def enumerate_partitions(commodities: Sequence[str], owner: str = "") -> list[PartitionStrategy]:
     """All partitions of the commodity sequence, in canonical block order."""
     items = tuple(commodities)
@@ -131,10 +119,13 @@ class StrategyProfile:
 class GameSpec:
     """Commodities, supply sets, coins, and payoff families.
 
-    The suppliers are the labels of the coin vector's ground set, and
-    supply and every payoff row follow their order.  payoffs[k][h] is the
-    nonnegative increasing function F applied to the supplier set that
-    delivered commodity k, entering player h's product payoff.
+    The suppliers are the labels of the coin vector's ground set.  `supply`
+    maps each supplier to its commodities, and `payoffs` map each commodity
+    to one function shared by every supplier or to a mapping from supplier
+    to function.  Both are stored as tuple rows in supplier order, each
+    supply row in commodity order: payoffs[k][h] is the nonnegative
+    increasing function F applied to the supplier set that delivered
+    commodity k, entering player h's product payoff.
     `symmetric`, computed from the payoffs, is true when they do not depend
     on h, and `exact` when every coin and payoff value is exact.  A float
     spec must keep its payoffs within float range (see _check_float_range).
@@ -151,80 +142,66 @@ class GameSpec:
     supply: tuple[tuple[str, ...], ...]
     p: CoinVector
     payoffs: tuple[tuple[SetFunction, ...], ...]
-    symmetric: bool = field(init=False)
-    exact: bool = field(init=False)
+    symmetric: bool
+    exact: bool
     # (strategy -> axis position per supplier, payoff array per player)
     _payoff_arrays: tuple[tuple[dict, ...], tuple[np.ndarray, ...]] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
-    def __post_init__(self):
-        if len(set(self.commodities)) != len(self.commodities):
-            raise ValueError("commodities must be distinct")
-        if not self.suppliers:
-            raise ValueError("at least one supplier required")
-        if len(self.commodities) > MAX_COMMODITIES:
-            raise ValueError(f"exact analysis is limited to {MAX_COMMODITIES} commodities")
-        if len(self.suppliers) > MAX_SUPPLIERS:
-            raise ValueError(f"exact analysis is limited to {MAX_SUPPLIERS} suppliers")
-        if len(self.supply) != len(self.suppliers):
-            raise ValueError("one supply set per supplier required")
-        kset = set(self.commodities)
-        for h, owned in zip(self.suppliers, self.supply):
-            if len(set(owned)) != len(owned) or not set(owned) <= kset:
-                raise ValueError(f"invalid supply set for {h!r}")
-        if len(self.payoffs) != len(self.commodities):
-            raise ValueError("one payoff family per commodity required")
-        for k, row in zip(self.commodities, self.payoffs):
-            if len(row) != len(self.suppliers):
-                raise ValueError(f"payoffs for {k!r} must cover every supplier")
-            for f in row:
-                if f.ground != self.p.ground:
-                    raise ValueError(f"payoff for {k!r} lives on the wrong ground set")
-                if any(not geq(v, 0) for v in f.values):
-                    raise ValueError(f"payoff for {k!r} takes negative values")
-                if not is_increasing(f):
-                    raise ValueError(f"payoff for {k!r} is not increasing")
-        exact = self.p.exact and all(f.exact for row in self.payoffs for f in row)
-        if not exact:
-            _check_float_range(self)
-        symmetric = all(row.count(row[0]) == len(row) for row in self.payoffs)
-        object.__setattr__(self, "symmetric", symmetric)
-        object.__setattr__(self, "exact", exact)
-
-    @classmethod
-    def build(
-        cls,
-        commodities: Sequence[str],
-        supply: Mapping[str, Sequence[str]],
+    def __init__(
+        self,
+        commodities: Iterable[str],
+        supply: Mapping[str, Iterable[str]],
         p: CoinVector,
         payoffs: Mapping[str, SetFunction | Mapping[str, SetFunction]],
-        ) -> "GameSpec":
-        """Assemble a spec from mappings.
-
-        Payoffs accept either one function per commodity (shared by every
-        supplier) or a full per-supplier mapping.
-        """
+    ):
         commodities = tuple(commodities)
         suppliers = p.ground.labels
+        if len(set(commodities)) != len(commodities):
+            raise ValueError("commodities must be distinct")
+        if not suppliers:
+            raise ValueError("at least one supplier required")
+        if len(commodities) > MAX_COMMODITIES:
+            raise ValueError(f"exact analysis is limited to {MAX_COMMODITIES} commodities")
+        if len(suppliers) > MAX_SUPPLIERS:
+            raise ValueError(f"exact analysis is limited to {MAX_SUPPLIERS} suppliers")
         if set(supply) != set(suppliers):
             raise ValueError("supply must be keyed by exactly the suppliers")
-        korder = {k: i for i, k in enumerate(commodities)}
-        supply_rows = tuple(
-            tuple(sorted(supply[h], key=korder.__getitem__)) for h in suppliers
-        )
+        supply_rows = []
+        for h in suppliers:
+            owned = tuple(supply[h])
+            for k in owned:
+                if k not in commodities:
+                    raise ValueError(f"supply of {h!r}: unknown commodity {k!r}")
+            if len(set(owned)) != len(owned):
+                raise ValueError(f"supply of {h!r} names a commodity twice")
+            supply_rows.append(tuple(sorted(owned, key=commodities.index)))
         if set(payoffs) != set(commodities):
             raise ValueError("payoffs must be keyed by exactly the commodities")
         rows = []
         for k in commodities:
             entry = payoffs[k]
             if isinstance(entry, SetFunction):
-                rows.append(tuple(entry for _ in suppliers))
-            else:
-                if set(entry) != set(suppliers):
-                    raise ValueError(f"payoffs for {k!r} must be keyed by the suppliers")
-                rows.append(tuple(entry[h] for h in suppliers))
-        return cls(commodities, supply_rows, p, tuple(rows))
+                entry = dict.fromkeys(suppliers, entry)
+            elif set(entry) != set(suppliers):
+                raise ValueError(f"payoffs for {k!r} must be keyed by the suppliers")
+            rows.append(tuple(entry[h] for h in suppliers))
+            for f in rows[-1]:
+                if f.ground != p.ground:
+                    raise ValueError(f"payoff for {k!r} lives on the wrong ground set")
+                if any(not geq(v, 0) for v in f.values):
+                    raise ValueError(f"payoff for {k!r} takes negative values")
+                if not is_increasing(f):
+                    raise ValueError(f"payoff for {k!r} is not increasing")
+        object.__setattr__(self, "commodities", commodities)
+        object.__setattr__(self, "supply", tuple(supply_rows))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "payoffs", tuple(rows))
+        object.__setattr__(self, "exact", p.exact and all(f.exact for row in rows for f in row))
+        object.__setattr__(self, "symmetric", all(row.count(row[0]) == len(row) for row in rows))
+        if not self.exact:
+            _check_float_range(self)
 
     @property
     def suppliers(self) -> tuple[str, ...]:
@@ -234,13 +211,13 @@ class GameSpec:
         try:
             return self.suppliers.index(h)
         except ValueError:
-            raise KeyError(f"unknown supplier {h!r}") from None
+            raise ValueError(f"unknown supplier {h!r}") from None
 
     def k_index(self, k: str) -> int:
         try:
             return self.commodities.index(k)
         except ValueError:
-            raise KeyError(f"unknown commodity {k!r}") from None
+            raise ValueError(f"unknown commodity {k!r}") from None
 
     def supply_of(self, h: str) -> tuple[str, ...]:
         return self.supply[self.h_index(h)]
@@ -249,7 +226,9 @@ class GameSpec:
         return enumerate_partitions(self.supply_of(h), owner=h)
 
     def strategy(self, h: str, blocks: Iterable[Iterable[str]]) -> PartitionStrategy:
-        strat = PartitionStrategy(h, _canonical_blocks(blocks, self.commodities))
+        blocks = [sorted(b, key=self.k_index) for b in blocks]
+        blocks.sort(key=lambda b: self.k_index(b[0]) if b else -1)
+        strat = PartitionStrategy(h, blocks)
         if strat.commodity_set != set(self.supply_of(h)):
             raise ValueError(f"blocks do not partition the supply set of {h!r}")
         return strat
@@ -692,7 +671,7 @@ def scaled_spec(spec: GameSpec, kappa: Mapping[str, Value]) -> GameSpec:
         return spec
     if not spec.commodities:
         raise ValueError("cannot scale a game with no commodities")
-    first_row = tuple(
-        f * kappa[h] for h, f in zip(spec.suppliers, spec.payoffs[0])
-    )
-    return GameSpec(spec.commodities, spec.supply, spec.p, (first_row,) + spec.payoffs[1:])
+    rows = [dict(zip(spec.suppliers, row)) for row in spec.payoffs]
+    rows[0] = {h: f * kappa[h] for h, f in rows[0].items()}
+    supply = dict(zip(spec.suppliers, spec.supply))
+    return GameSpec(spec.commodities, supply, spec.p, dict(zip(spec.commodities, rows)))

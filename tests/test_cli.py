@@ -315,7 +315,7 @@ def test_expost_sweep_pins_its_first_failure(exact):
 
     ks = ["a", "b", "c", "d"]
     up = table(1, 2, 1, 2)
-    spec = GameSpec.build(
+    spec = GameSpec(
         ks,
         {"h1": ["a", "b", "c"], "h2": ["c", "d"]},
         CoinVector(g, (num(Fraction(1, 3)), num(Fraction(3, 4)))),
@@ -353,7 +353,7 @@ def test_expost_sweep_refuses_a_batch_the_scalar_code_contradicts(monkeypatch):
     monkeypatch.setattr(cli, "conditional_block_rows", skewed)
     g = GroundSet(["h1"])
     up = SetFunction(g, (Fraction(1), Fraction(2)))
-    spec = GameSpec.build(
+    spec = GameSpec(
         ["a", "b"], {"h1": ["a", "b"]}, CoinVector(g, (Fraction(1, 3),)), {"a": up, "b": up}
     )
     with pytest.raises(RuntimeError, match="disagree with conditional_payoffs"):
@@ -369,7 +369,7 @@ def test_expost_recheck_sees_arrived_blocks(monkeypatch):
     g = GroundSet(["s1", "s2"])
     up = SetFunction(g, (Fraction(1), Fraction(2), Fraction(3), Fraction(5)))
     ks = ["k1", "k2"]
-    spec = GameSpec.build(
+    spec = GameSpec(
         ks, {"s1": ks, "s2": ks}, CoinVector(g, (Fraction(1, 3),) * 2), dict.fromkeys(ks, up)
     )
     with pytest.raises(RuntimeError, match="disagree with conditional_payoffs"):
@@ -810,6 +810,17 @@ def test_config_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _wide_game(commodities, suppliers):
+    """A game config whose first supplier owns every commodity."""
+    ks = [f"k{i}" for i in range(commodities)]
+    hs = [f"h{i}" for i in range(suppliers)]
+    return {
+        "kind": "game", "mode": "exact", "commodities": ks, "suppliers": hs,
+        "p": dict.fromkeys(hs, "1/2"), "supply": {h: ks if h == hs[0] else [] for h in hs},
+        "payoffs": dict.fromkeys(ks, {"constant": 1}),
+    }
+
+
 @pytest.mark.parametrize(
     "base, change, message",
     [
@@ -819,9 +830,9 @@ def test_config_error_paths(tmp_path, capsys):
         (MILITARY_CONFIG, {"red": {"seeds": "t"}}, "red.seeds: expected a list of subsets"),
         (MILITARY_CONFIG, {"blue": {"members": 5}}, "blue.members: expected a list of subsets"),
         (MILITARY_CONFIG, {"red": {"seeds": [["z"]]}},
-         "red.seeds[0]: \"unknown element 'z'\""),
+         "red.seeds[0]: unknown element 'z'"),
         (MILITARY_CONFIG, {"blue": {"members": [["t"], ["z"]]}},
-         "blue.members[1]: \"unknown element 'z'\""),
+         "blue.members[1]: unknown element 'z'"),
         (MERGER_CONFIG, {"b": {"weights": {"u": 1, "v": 1}}}, "b: voting weights need a 'quota'"),
         (GAME_CONFIG, {"profile": {"h1": [["oil", "gas"]], "h3": [["oil"]]}},
          "profile: profile must name exactly the suppliers"),
@@ -831,6 +842,21 @@ def test_config_error_paths(tmp_path, capsys):
         (PRODUCTION_CONFIG, {"x": {}}, "x: must give exactly one amount per element"),
         (MERGER_CONFIG, {"b": {"weights": {"u": 1}, "quota": 1}},
          "b.weights: must give exactly one weight per element"),
+        # an unknown name is refused with its path and without quotes
+        (CONV_CONFIG, {"f": {"table": {"": 0, "a": 1, "b": 1, "zz": 3}}},
+         "f.table: bad subset key 'zz': unknown element 'zz'"),
+        (GAME_CONFIG, {"payoffs": {"oil": {"h1": {"table": {"zz": 1}}, "h2": {"constant": 1}},
+                                   "gas": {"constant": 1}}},
+         "payoffs.oil.h1.table: bad subset key 'zz': unknown element 'zz'"),
+        (GAME_CONFIG, {"supply": {"h1": ["oil", "zz"], "h2": ["oil"]}},
+         "supply of 'h1': unknown commodity 'zz'"),
+        (GAME_CONFIG, {"supply": {"h1": ["oil", "gas", "oil"], "h2": ["oil"]}},
+         "supply of 'h1' names a commodity twice"),
+        (GAME_CONFIG, {"commodities": ["oil", "oil"], "supply": {"h1": ["oil"], "h2": ["oil"]},
+                       "payoffs": {"oil": {"constant": 1}}},
+         "commodities must be distinct"),
+        (_wide_game(9, 1), {}, "exact analysis is limited to 8 commodities"),
+        (_wide_game(1, 7), {}, "exact analysis is limited to 6 suppliers"),
     ],
 )
 def test_config_refusals_name_their_path(tmp_path, capsys, base, change, message):

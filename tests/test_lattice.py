@@ -49,7 +49,7 @@ def test_ground_set_rejects_bad_input():
     with pytest.raises(ValueError):
         GroundSet([f"x{i}" for i in range(21)])
     g = GroundSet(["a"])
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         g.index("z")
     with pytest.raises(ValueError):
         g.mask_of(["a", "a"])
@@ -60,6 +60,14 @@ def test_ground_set_rejects_bad_input():
 
 
 # -- set functions -----------------------------------------------------------
+
+
+def test_ground_set_refusals_name_their_reason():
+    with pytest.raises(ValueError, match="labels must be strings"):
+        GroundSet([1])
+    g = GroundSet(["a"])
+    with pytest.raises(ValueError, match="different ground sets"):
+        expectation(SetFunction(g, (0, 1)), CoinVector(GroundSet(["b"]), (Fraction(1, 2),)))
 
 
 def test_setfunction_algebra():

@@ -24,7 +24,7 @@ F = Fraction
 
 def _simple_spec(p=F(1, 2)):
     g = GroundSet(["h"])
-    return GameSpec.build(
+    return GameSpec(
         commodities=["a", "b"],
         supply={"h": ["a", "b"]},
         p=CoinVector(g, (p,)),
@@ -45,6 +45,13 @@ def test_report_validation():
         EstimateReport(mean=0.0, stderr=0.0, samples=1, seed=0)
     with pytest.raises(ValueError):
         estimate_payoff(_simple_spec(), _simple_spec().coarse_profile(), "h", 1, 0)
+
+
+def test_estimate_convolution_needs_two_samples():
+    g = GroundSet(["a"])
+    f = SetFunction(g, (0, 1))
+    with pytest.raises(ValueError, match="at least two samples"):
+        estimate_convolution(f, f, CoinVector(g, (F(1, 2),)), 1, samples=1, seed=0)
 
 
 def test_estimates_are_bit_identical_under_same_seed():
@@ -150,7 +157,7 @@ def test_seeded_streams_are_pinned():
     # coins are drawn, or the rule that turns arrivals into masks, breaks them.
     g = GroundSet(["h1", "h2", "h3"])
     shared_oil = SetFunction(g, (0, 1, 1, 2, 1, 2, 2, 3))
-    spec = GameSpec.build(
+    spec = GameSpec(
         commodities=["oil", "gas", "coal"],
         supply={"h1": ["oil", "gas", "coal"], "h2": ["oil", "coal"], "h3": []},
         p=CoinVector(g, (F(1, 2), F(3, 4), F(1, 3))),

@@ -214,7 +214,7 @@ def test_mixed_operands_give_floats_close_to_the_exact_result(data):
 
     def game(coins, payoffs):
         supply = {h: commodities for h in ground.labels}
-        return GameSpec.build(commodities, supply, coins, dict(zip(commodities, payoffs)))
+        return GameSpec(commodities, supply, coins, dict(zip(commodities, payoffs)))
 
     spec = game(p, tables)
 

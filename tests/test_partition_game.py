@@ -42,7 +42,7 @@ def _single_supplier_spec(tables, p=F(1, 2)):
     """One supplier 'h' owing one commodity per table, payoffs per table."""
     g = GroundSet(["h"])
     ks = [f"k{i}" for i in range(len(tables))]
-    return GameSpec.build(
+    return GameSpec(
         commodities=ks,
         supply={"h": ks},
         p=CoinVector(g, (p,)),
@@ -54,7 +54,7 @@ def _two_supplier_spec():
     g = GroundSet(["h1", "h2"])
     inc_a = SetFunction(g, (F(1, 3), F(1, 2), F(2, 3), 1))
     inc_b = SetFunction(g, (0, 1, 1, 2))
-    return GameSpec.build(
+    return GameSpec(
         commodities=["a", "b"],
         supply={"h1": ["a", "b"], "h2": ["a"]},
         p=CoinVector(g, (F(1, 3), F(3, 4))),
@@ -125,7 +125,7 @@ def test_spec_strategy_canonicalizes_and_validates():
         spec.strategy("h1", [["a"]])  # does not cover the supply set
     with pytest.raises(ValueError):
         spec.strategy("h2", [["a", "b"]])  # b is not h2's to ship
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         spec.strategy("nope", [["a"]])
 
 
@@ -136,26 +136,56 @@ def test_spec_build_validation():
     g = GroundSet(["h"])
     ok = SetFunction(g, (0, 1))
     with pytest.raises(ValueError):
-        GameSpec.build(["k"], {}, CoinVector(GroundSet([]), ()), {"k": ok})
+        GameSpec(["k"], {}, CoinVector(GroundSet([]), ()), {"k": ok})
     with pytest.raises(ValueError):
-        GameSpec.build(
+        GameSpec(
             ["k"], {"h": ["k"]}, CoinVector(g, (F(1, 2),)),
             {"k": SetFunction(g, (0, -1))},
         )
     with pytest.raises(ValueError):
-        GameSpec.build(
+        GameSpec(
             ["k"], {"h": ["k"]}, CoinVector(g, (F(1, 2),)),
             {"k": SetFunction(g, (1, 0))},
         )
     with pytest.raises(ValueError):
-        GameSpec.build(
+        GameSpec(
             ["k"], {"h": ["k"]}, CoinVector(g, (F(1, 2),)),
             {"wrong": ok},
         )
     with pytest.raises(ValueError):
-        GameSpec.build(
+        GameSpec(
             ["k"], {"h": ["k", "k"]}, CoinVector(g, (F(1, 2),)), {"k": ok}
         )
+
+
+def test_spec_refusals_name_their_reason():
+    # Every unknown name is a ValueError, and a supply row is put in
+    # commodity order only after it is checked.
+    g = GroundSet(["h"])
+    ok = SetFunction(g, (0, 1))
+
+    def build(owned):
+        return GameSpec(["a", "b"], {"h": owned}, CoinVector(g, (F(1, 2),)), {"a": ok, "b": ok})
+
+    spec = build(["b", "a"])
+    assert spec.supply == (("a", "b"),)
+    with pytest.raises(ValueError, match="^supply of 'h': unknown commodity 'zz'$"):
+        build(["a", "zz"])
+    with pytest.raises(ValueError, match="^supply of 'h' names a commodity twice$"):
+        build(["b", "a", "b"])
+    with pytest.raises(ValueError, match="^unknown commodity 'zz'$"):
+        spec.k_index("zz")
+    with pytest.raises(ValueError, match="^unknown supplier 'zz'$"):
+        spec.h_index("zz")
+    with pytest.raises(ValueError, match="^unknown commodity 'zz'$"):
+        spec.strategy("h", [["a"], ["zz"]])
+
+
+def test_spec_refuses_a_payoff_on_the_wrong_ground_set():
+    g = GroundSet(["h"])
+    wrong = SetFunction(GroundSet(["x"]), (0, 1))
+    with pytest.raises(ValueError, match="^payoff for 'k' lives on the wrong ground set$"):
+        GameSpec(["k"], {"h": ["k"]}, CoinVector(g, (F(1, 2),)), {"k": wrong})
 
 
 def test_symmetric_flag_is_checked_not_trusted():
@@ -163,22 +193,22 @@ def test_symmetric_flag_is_checked_not_trusted():
     g = GroundSet(["h1", "h2"])
     f = SetFunction(g, (0, 1, 1, 2))
     other = SetFunction(g, (0, 1, 2, 3))
-    spec = GameSpec.build(
+    spec = GameSpec(
         ["k"], {"h1": ["k"], "h2": []},
         CoinVector(g, (F(1, 2),) * g.n), {"k": f},
     )
     assert spec.symmetric
-    assert GameSpec(spec.commodities, spec.supply, spec.p, ((f, f),)).symmetric
+    supply = {"h1": ["k"], "h2": []}
+    same, differ = {"k": {"h1": f, "h2": f}}, {"k": {"h1": f, "h2": other}}
+    assert GameSpec(spec.commodities, supply, spec.p, same).symmetric
     with pytest.raises(TypeError):
-        GameSpec(
-            spec.commodities, spec.supply, spec.p, ((f, other),), symmetric=True,
-        )
-    asym = GameSpec(spec.commodities, spec.supply, spec.p, ((f, other),))
+        GameSpec(spec.commodities, supply, spec.p, differ, symmetric=True)
+    asym = GameSpec(spec.commodities, supply, spec.p, differ)
     assert not asym.symmetric
     # the same holds for the exactness flag
     assert spec.exact and not _float_spec(spec).exact
     with pytest.raises(TypeError):
-        GameSpec(spec.commodities, spec.supply, spec.p, ((f, f),), exact=False)
+        GameSpec(spec.commodities, supply, spec.p, same, exact=False)
 
 
 def test_float_payoffs_beyond_float_range_are_refused():
@@ -204,7 +234,7 @@ def _factor_spec(spec, factors):
     """The spec's game with the given per-commodity factors, shared by every
     player, and the constant 1 for every other commodity."""
     one = SetFunction.constant(spec.p.ground, 1)
-    return GameSpec.build(
+    return GameSpec(
         spec.commodities, dict(zip(spec.suppliers, spec.supply)), spec.p,
         {k: factors.get(k, one) for k in spec.commodities},
     )
@@ -313,9 +343,12 @@ def _float_spec(spec):
     """The same game with every coin and payoff value as a float."""
     return GameSpec(
         spec.commodities,
-        spec.supply,
+        dict(zip(spec.suppliers, spec.supply)),
         CoinVector(spec.p.ground, tuple(float(v) for v in spec.p.p)),
-        tuple(tuple(f.map(float) for f in row) for row in spec.payoffs),
+        {
+            k: {h: f.map(float) for h, f in zip(spec.suppliers, row)}
+            for k, row in zip(spec.commodities, spec.payoffs)
+        },
     )
 
 
@@ -336,7 +369,7 @@ def test_exact_coins_with_float_payoffs_give_float_payoffs():
     for _ in range(10):
         spec = random_game_spec(rng)
         profile = random_profile(rng, spec)
-        mixed = GameSpec.build(
+        mixed = GameSpec(
             spec.commodities,
             dict(zip(spec.suppliers, spec.supply)),
             spec.p,
@@ -391,7 +424,7 @@ def _three_supplier_spec(exact):
     else:
         payoffs = {k: family(c, 0) for c, k in enumerate(ks)}
         p = CoinVector(g, (0.3, 0.75, 0.6))
-    return GameSpec.build(ks, {"h1": ks, "h2": ["a", "b"], "h3": ["c"]}, p, payoffs)
+    return GameSpec(ks, {"h1": ks, "h2": ["a", "b"], "h3": ["c"]}, p, payoffs)
 
 
 def _all_profiles(spec):
@@ -459,7 +492,7 @@ def test_exact_four_by_four_game_is_analyzed_exhaustively():
     ks = ["a", "b", "c", "d"]
     payoffs = {k: random_increasing(rng, g, 6, exact=True, strict=True) for k in ks}
     p = CoinVector(g, (F(1, 3), F(3, 4), F(2, 5), F(1, 2)))
-    spec = GameSpec.build(ks, {h: ks for h in g.labels}, p, payoffs)
+    spec = GameSpec(ks, {h: ks for h in g.labels}, p, payoffs)
     profiles = list(itertools.product(*map(spec.strategies, spec.suppliers)))
     assert len(profiles) == 50_625
     for h in spec.suppliers:
@@ -487,7 +520,7 @@ def _eight_commodity_spec(exact, owned):
     coins = (F(1, 3), F(3, 4), F(2, 5))
     p = CoinVector(g, coins if exact else tuple(map(float, coins)))
     payoffs = {k: {h: family(c, t) for t, h in enumerate(g.labels)} for c, k in enumerate(ks)}
-    return GameSpec.build(ks, dict(zip(g.labels, (ks[:n] for n in owned))), p, payoffs)
+    return GameSpec(ks, dict(zip(g.labels, (ks[:n] for n in owned))), p, payoffs)
 
 
 @pytest.mark.parametrize("exact, owned", [(False, (8, 8, 6)), (True, (6, 6, 4))])
@@ -700,6 +733,25 @@ def test_conditional_validation():
         conditional_payoffs(spec, spec.coarse_profile(), "h", 0, 1, {"h": (None,)})
 
 
+def test_conditioning_may_leave_out_only_suppliers_without_blocks():
+    cond = {"h1": (None, None)}
+    spec = _two_supplier_spec()  # h2 ships commodity a
+    with pytest.raises(ValueError, match="^incomplete conditioning: no bits for supplier 'h2'$"):
+        conditional_block_factors(spec, spec.finest_profile(), "h1", 0, 1, cond)
+    g = GroundSet(["h1", "h2"])
+    f = SetFunction(g, (0, 1, 1, 2))
+    coins = CoinVector(g, (F(1, 2), F(1, 2)))
+    idle = GameSpec(["a", "b"], {"h1": ["a", "b"], "h2": []}, coins, {"a": f, "b": f})
+    factors = conditional_block_factors(idle, idle.finest_profile(), "h1", 0, 1, cond)
+    assert factors == (0, 1, 0, 1, 1)
+
+
+def test_conditional_rows_over_the_block_cap_are_refused():
+    spec = _eight_commodity_spec(False, (8, 8, 7))
+    with pytest.raises(ValueError, match="shipment blocks"):
+        conditional_block_rows(spec, spec.finest_profile(), "h1", 0, 1)
+
+
 # -- dominance, best replies, Nash ------------------------------------------------
 
 
@@ -745,7 +797,7 @@ def test_check_dominance_returns_the_first_violation():
     # split strategies tie; against h2's split one, coarse pays 7/8 < 15/16.
     g = GroundSet(["h1", "h2"])
     up = SetFunction(g, (1, 2, 1, 2))
-    spec = GameSpec.build(
+    spec = GameSpec(
         ["a", "b", "c"],
         {"h1": ["a", "b"], "h2": ["a", "c"]},
         CoinVector(g, (F(1, 2), F(1, 2))),
@@ -785,7 +837,7 @@ def test_profile_space_cap():
     ks = [f"k{i}" for i in range(8)]
     g = GroundSet(["h1", "h2", "h3"])
     fn = SetFunction(g, tuple(bin(m).count("1") for m in range(8)))
-    spec = GameSpec.build(
+    spec = GameSpec(
         ks,
         {"h1": ks, "h2": ks, "h3": ks},
         CoinVector(g, (F(1, 2),) * g.n),
@@ -838,6 +890,14 @@ def test_scaling_validation():
         scaled_spec(spec, {"h1": F(1, 2), "h2": 0})
     same = scaled_spec(spec, {"h1": 1, "h2": 1})
     assert same is spec
+
+
+def test_a_game_with_no_commodities_cannot_be_scaled():
+    g = GroundSet(["h"])
+    spec = GameSpec([], {"h": []}, CoinVector(g, (F(1, 2),)), {})
+    assert scaled_spec(spec, {"h": 1}) is spec
+    with pytest.raises(ValueError, match="no commodities"):
+        scaled_spec(spec, {"h": 2})
 
 
 def test_scaling_keeps_symmetric_flag_honest():
