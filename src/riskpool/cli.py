@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -658,12 +659,7 @@ def _cmd_game_simulate(args) -> int:
         within = _within_band(est, exact)
         ok = ok and within
         per_player[h] = {
-            "estimate": {
-                "mean": est.mean,
-                "stderr": est.stderr,
-                "samples": est.samples,
-                "seed": est.seed,
-            },
+            "estimate": dataclasses.asdict(est),
             "exact": exact,
             "within_4_stderr": within,
         }

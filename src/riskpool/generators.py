@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
 
 from .lattice import CoinVector, GroundSet, SetFunction, random_increasing, up_closure
 from .numerics import Value
@@ -24,14 +23,11 @@ def random_coin_vector(
     ground: GroundSet,
     *,
     exact: bool = False,
-    choices: Sequence[Value] | None = None,
     degenerate: bool = False,
 ) -> CoinVector:
-    """Random per-element probabilities; `choices` restricts to a grid."""
+    """Random per-element probabilities."""
 
     def draw() -> Value:
-        if choices is not None:
-            return rng.choice(list(choices))
         if degenerate and rng.random() < 0.1:
             return (0, 1)[rng.randrange(2)] if exact else float(rng.randrange(2))
         if exact:
@@ -137,7 +133,8 @@ def random_game_spec(
         return f
 
     payoffs = {k: {h: family() for h in suppliers} for k in commodities}
-    p = random_coin_vector(rng, hground, choices=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
+    grid = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    p = CoinVector(hground, (rng.choice(grid) for _ in suppliers))
     return GameSpec(commodities, supply, p, payoffs)
 
 

@@ -57,13 +57,10 @@ class GroundSet:
         except ValueError:
             raise ValueError(f"unknown element {label!r}") from None
 
-    def bit(self, label: str) -> int:
-        return 1 << self.index(label)
-
     def mask_of(self, labels: Iterable[str]) -> int:
         mask = 0
         for lab in labels:
-            b = self.bit(lab)
+            b = 1 << self.index(lab)
             if mask & b:
                 raise ValueError(f"repeated element {lab!r}")
             mask |= b

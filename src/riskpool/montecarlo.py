@@ -110,13 +110,9 @@ def estimate_convolution(
     n = f.ground.n
     probs = float_array(p.p)
     # Two full coin matrices are always drawn, so the draw count does not
-    # depend on the coupled set; the shared coin just reuses matrix one.
-    coins1 = rng.random((samples, n)) < probs
-    coins2 = rng.random((samples, n)) < probs
-    shared = np.array([bool(coupled >> i & 1) for i in range(n)])
-    coins2 = np.where(shared, coins1, coins2)
+    # depend on the coupled set; a coupled coin just reuses matrix one.
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    s1 = coins1.astype(np.int64) @ bits
-    s2 = coins2.astype(np.int64) @ bits
-    vals = fa[s1] * ga[s2]
+    s1 = (rng.random((samples, n)) < probs).astype(np.int64) @ bits
+    s2 = (rng.random((samples, n)) < probs).astype(np.int64) @ bits
+    vals = fa[s1] * ga[(s1 & coupled) | (s2 & ~coupled)]
     return _report(vals, samples, seed)

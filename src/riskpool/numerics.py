@@ -84,16 +84,10 @@ def close_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def argmax_ties(values: Sequence[Value]) -> list[int]:
-    """Indices attaining the maximum, ascending.
-
-    Exact values tie only on equality; floats tie within the relative
-    tolerance of the maximum.
-    """
-    best = max(values)
-    if all_exact(values):
-        return [i for i, v in enumerate(values) if v == best]
-    cut = float(best) - slack(best)
-    return [i for i, v in enumerate(values) if float(v) >= cut]
+    """Indices whose value is geq the maximum, ascending: exact values tie
+    only on equality, floats within the tolerance of geq."""
+    t = scaled_array(values, all_exact(values))[0]
+    return np.flatnonzero(geq_array(t, t.max())).tolist()
 
 
 def stable_sum(terms: Sequence[Value]) -> Value:
@@ -153,9 +147,11 @@ def power(base: Value, expo: Value) -> Value:
 
 
 def parse_value(raw: object) -> Value:
-    """JSON scalar to number; strings parse as exact rationals ("3/4")."""
+    """JSON scalar to finite number; strings parse as exact rationals ("3/4")."""
     if isinstance(raw, bool):
         raise ValueError(f"expected a number, got {raw!r}")
+    if isinstance(raw, float) and not math.isfinite(raw):
+        raise ValueError(f"expected a finite number, got {raw!r}")
     if isinstance(raw, (int, float)):
         return raw
     if isinstance(raw, str):

@@ -34,7 +34,6 @@ from .numerics import Value, argmax_ties, coin_ratio, geq, geq_array, scaled_arr
 
 MAX_COMMODITIES = 8
 MAX_SUPPLIERS = 6
-MAX_PARTITION_SET = 8
 MAX_TOTAL_BLOCKS = 22
 MAX_PROFILES = 10 ** 6
 
@@ -68,8 +67,8 @@ def enumerate_partitions(commodities: Sequence[str], owner: str = "") -> list[Pa
     items = tuple(commodities)
     if len(set(items)) != len(items):
         raise ValueError("commodities must be distinct")
-    if len(items) > MAX_PARTITION_SET:
-        raise ValueError(f"partition enumeration is limited to {MAX_PARTITION_SET} commodities")
+    if len(items) > MAX_COMMODITIES:
+        raise ValueError(f"partition enumeration is limited to {MAX_COMMODITIES} commodities")
     # Restricted growth order (Knuth, TAOCP 4A, 7.2.1.5): each item joins
     # every existing block in turn, then opens a new one, so each partition
     # shows up exactly once and blocks come out ordered by first occurrence.

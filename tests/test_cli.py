@@ -865,6 +865,26 @@ def test_config_refusals_name_their_path(tmp_path, capsys, base, change, message
     assert _run(capsys, [*command, "--config", cfg]) == (2, "", f"config error: {message}\n")
 
 
+@pytest.mark.parametrize("literal, shown", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"),
+])
+@pytest.mark.parametrize("cfg, path", [
+    (dict(CONV_CONFIG, mode="float", f={"table": {"": 0, "a": "@@", "b": 1, "a,b": 3}}),
+     "f.table.'a'"),
+    (dict(CONV_CONFIG, mode="float", p={"a": "@@", "b": "1/4"}), "p.a"),
+    (dict(PRODUCTION_CONFIG, x={"1": "@@"}), "x.1"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, literal, shown, cfg, path):
+    # json.loads reads these literals as floats; each is refused where it
+    # stands, with its path.
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(cfg).replace('"@@"', literal))
+    command = ["convolve"] if cfg["kind"] == "convolution" else ["scenario"]
+    assert _run(capsys, [*command, "--config", str(config)]) == (
+        2, "", f"config error: {path}: expected a finite number, got {shown}\n"
+    )
+
+
 def test_weights_form_is_the_moebius_sum(tmp_path, capsys):
     weights = {"": 1, "a": 2, "a,b": "1/2"}
     cfg = _write(tmp_path, "c.json", dict(CONV_CONFIG, f={"weights": weights}))

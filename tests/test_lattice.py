@@ -37,7 +37,7 @@ def test_ground_set_basics():
     assert g.n == 3
     assert g.full == 7
     assert list(g.subsets()) == list(range(8))
-    assert g.bit("b") == 2
+    assert g.mask_of(["b"]) == 2
     assert g.mask_of(["a", "c"]) == 5
     assert g.labels_of(5) == ("a", "c")
     assert g.labels_of(0) == ()
@@ -244,7 +244,7 @@ def _pair_law(p, coupled):
 def test_pair_measure_worked_example():
     g = _ground(2)
     p = CoinVector(g, (0.5,) * g.n)
-    d = _pair_law(p, g.bit("h0"))
+    d = _pair_law(p, g.mask_of(["h0"]))
     # shared coin on h0 heads, free coins on h1 land tails then heads
     assert close(d[(0b01, 0b11)], 0.125)
     assert close(d[(0b10, 0b01)], 0.0)

@@ -110,6 +110,28 @@ def test_estimate_convolution_draw_count_independent_of_coupling():
     assert full.mean >= empty.mean - 4 * (full.stderr + empty.stderr)
 
 
+def test_estimate_convolution_rebuilt_from_two_draws():
+    # S1 reads matrix one; S2 reads matrix one on the coupled elements and
+    # matrix two elsewhere.
+    g = GroundSet(["x", "y", "z"])
+    f = SetFunction(g, (1, 2, 3, 5, 7, 11, 13, 17))
+    gg = SetFunction(g, (0.5, 1, 1.5, 2, 4, 8, 16, 32))
+    p = CoinVector(g, (0.3, 0.5, 0.8))
+    samples = 500
+    for coupled in g.subsets():
+        rng = generator(21)
+        draws = [rng.random((samples, g.n)) < p.p for _ in range(2)]
+        s2_draw = [0 if coupled >> i & 1 else 1 for i in range(g.n)]
+        vals = np.array([
+            f(sum(1 << i for i in range(g.n) if draws[0][k, i]))
+            * gg(sum(1 << i for i in range(g.n) if draws[s2_draw[i]][k, i]))
+            for k in range(samples)
+        ], dtype=float)
+        rep = estimate_convolution(f, gg, p, coupled, samples, 21)
+        assert rep.mean == float(np.mean(vals))
+        assert rep.stderr == float(np.std(vals, ddof=1) / np.sqrt(samples))
+
+
 def test_power_of_two_scaling_is_bitwise_linear():
     # Also near the top of float range, where the squared deviations
     # (2**600) and the sum of the samples (2**1020) leave it.

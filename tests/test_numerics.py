@@ -89,6 +89,43 @@ def test_argmax_ties_exact_and_float():
         argmax_ties([])
 
 
+def test_argmax_ties_at_the_tolerance_edge():
+    # The second value is geq the first, so it ties with the maximum, even
+    # though it lies below best - slack(best).
+    vals = [6.307879378834871e-13, -3.6921206211651296e-13]
+    assert geq(vals[1], vals[0]) and vals[1] < vals[0] - slack(vals[0])
+    assert argmax_ties(vals) == [0, 1]
+
+
+def _ulps(x, k):
+    """x moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def _near_ties(draw):
+    """Floats with maximum `best`, some a few ulps either side of
+    best - slack(best)."""
+    best = draw(st.floats(-1e3, 1e3) | st.floats(-1e-11, 1e-11))
+    cut = best - slack(best)
+    near = st.integers(-4, 4).map(lambda k: _ulps(cut, k))
+    rest = draw(st.lists(near | st.floats(-2e3, best), max_size=6))
+    return draw(st.permutations([best, *rest]))
+
+
+_exact_lists = st.lists(
+    st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_near_ties() | _exact_lists)
+def test_argmax_ties_is_geq_the_maximum(vals):
+    assert argmax_ties(vals) == [i for i, v in enumerate(vals) if geq(v, max(vals))]
+
+
 def test_stable_sum_dispatch():
     assert stable_sum([Fraction(1, 3)] * 3) == 1
     assert isinstance(stable_sum([1, 2, 3]), int)

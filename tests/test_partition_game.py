@@ -17,6 +17,7 @@ from riskpool.generators import random_game_spec, random_profile
 from riskpool.lattice import CoinVector, GroundSet, SetFunction, expectation, random_increasing
 from riskpool.numerics import close
 from riskpool.partition_game import (
+    MAX_COMMODITIES,
     MAX_TOTAL_BLOCKS,
     GameSpec,
     PartitionStrategy,
@@ -74,6 +75,11 @@ def test_partition_counts_follow_bell_numbers():
         enumerate_partitions([f"k{i}" for i in range(9)])
     with pytest.raises(ValueError):
         enumerate_partitions(["a", "a"])
+
+
+def test_partition_enumeration_is_capped_at_the_commodity_cap():
+    with pytest.raises(ValueError, match="partition enumeration is limited to 8 commodities"):
+        enumerate_partitions([f"k{i}" for i in range(MAX_COMMODITIES + 1)])
 
 
 def test_partitions_come_in_restricted_growth_order():
@@ -779,6 +785,22 @@ def test_nash_contains_all_coarse_profile():
         spec = random_game_spec(rng)
         nash = find_nash(spec)
         assert spec.coarse_profile() in nash
+
+
+def test_nash_profiles_are_those_of_best_replies_alone():
+    # find_nash and best_replies decide ties with the same rule, exactly and
+    # in float form.
+    rng = random.Random(116)  # 160 profiles, 58 of them equilibria
+    for _ in range(12):
+        exact_spec = random_game_spec(rng)
+        for spec in (exact_spec, _float_spec(exact_spec)):
+            nash = set(find_nash(spec))
+            for profile in _all_profiles(spec):
+                replies = all(
+                    strat in best_replies(spec, profile, h)
+                    for h, strat in zip(spec.suppliers, profile.strategies)
+                )
+                assert (profile in nash) == replies
 
 
 def test_strictly_increasing_payoffs_give_unique_nash():

@@ -204,7 +204,7 @@ def test_merger_dictator():
     sc = MergerScenario(dictator, dictator, CoinVector(g, (q, Fraction(1, 3))))
     table = merger_table(sc)
     assert table(0) == q * q
-    assert table(g.bit("h0")) == q
+    assert table(g.mask_of(["h0"])) == q
 
 
 def test_merger_table_is_convolution():
