@@ -34,6 +34,7 @@ from .lattice import (
     GroundSet,
     SetFunction,
     all_monotone_indicators,
+    expectation,
     from_moebius_weights,
     is_decreasing,
     is_increasing,
@@ -269,10 +270,10 @@ def _load_config(path: str, mode_flag: str | None, expected_kinds: Sequence[str]
         raise ConfigError(
             f"{path}: kind must be one of {list(expected_kinds)}, got {kind!r}"
         )
-    mode = mode_flag or cfg.get("mode", "float")
+    mode = cfg.get("mode", "float")
     if mode not in ("exact", "float"):
         raise ConfigError(f"{path}: mode must be 'exact' or 'float', got {mode!r}")
-    return cfg, mode
+    return cfg, mode_flag or mode
 
 
 # ---------------------------------------------------------------- reports
@@ -385,11 +386,14 @@ def _check_production(sc: TwoInputProduction) -> tuple[dict, SetFunction, dict]:
 
 def _check_military(sc: MilitaryScenario) -> tuple[dict, SetFunction, dict]:
     both, neither, one = military_tables(sc)
+    # neither - both + E[red + blue] is 1 exactly when 1 - both - neither is
+    # P(exactly one) = P(red) + P(blue) - 2 both; the marginals use no convolve.
+    marginals = expectation(sc.c_red + sc.c_blue, sc.p)
     checks = {
         "both_disabled_increasing": is_increasing(both),
         "neither_disabled_increasing": is_increasing(neither),
         "exactly_one_decreasing": is_decreasing(one),
-        "outcomes_sum_to_one": all(close(v, 1) for v in (both + neither + one).values),
+        "outcomes_sum_to_one": all(close(v, 1) for v in (neither - both + marginals).values),
     }
     tables = {"both_disabled": both, "neither_disabled": neither, "exactly_one": one}
     return tables, both, checks
@@ -489,13 +493,14 @@ def _game_profile(cfg: Mapping, spec: GameSpec) -> StrategyProfile | None:
         raise ConfigError(f"profile: {exc}") from None
 
 
-def _profile_json(profile: StrategyProfile) -> dict[str, list[list[str]]]:
-    return {s.owner: [list(b) for b in s.blocks] for s in profile.strategies}
+def _profile_json(spec: GameSpec, profile: StrategyProfile) -> dict[str, list[list[str]]]:
+    return {h: [list(b) for b in s.blocks] for h, s in zip(spec.suppliers, profile.strategies)}
 
 
-def _profile_key(profile: StrategyProfile) -> str:
+def _profile_key(spec: GameSpec, profile: StrategyProfile) -> str:
     return ";".join(
-        s.owner + ":" + "|".join(",".join(b) for b in s.blocks) for s in profile.strategies
+        h + ":" + "|".join(",".join(b) for b in s.blocks)
+        for h, s in zip(spec.suppliers, profile.strategies)
     )
 
 
@@ -598,7 +603,7 @@ def _cmd_game_analyze(args) -> int:
         payoff_tables = {h: {} for h in spec.suppliers}
         for combo in itertools.product(*lists):
             prof = StrategyProfile(combo)
-            key = _profile_key(prof)
+            key = _profile_key(spec, prof)
             for h in spec.suppliers:
                 payoff_tables[h][key] = format_value(expected_payoff(spec, prof, h))
     all_hold = all(v is None for v in violations)
@@ -606,8 +611,9 @@ def _cmd_game_analyze(args) -> int:
     for h, v in zip(spec.suppliers, violations):
         entry: dict[str, object] = {"holds": v is None}
         if v is not None:
+            others = [g for g in spec.suppliers if g != h]
             entry["violation"] = {
-                "opponents": [{s.owner: [list(b) for b in s.blocks]} for s in v.opponents],
+                "opponents": [{g: [list(b) for b in s.blocks]} for g, s in zip(others, v.opponents)],
                 "better": [list(b) for b in v.better.blocks],
                 "worse": [list(b) for b in v.worse.blocks],
                 "payoff_better": format_value(v.payoff_better),
@@ -624,7 +630,7 @@ def _cmd_game_analyze(args) -> int:
         "commodities": list(spec.commodities),
         "profile_count": profile_count,
         "dominance": dominance,
-        "nash": [_profile_json(prof) for prof in nash],
+        "nash": [_profile_json(spec, prof) for prof in nash],
         "nash_contains_all_coarse": nash_has_coarse,
         "expost": expost,
         "verdict": "pass" if all_hold and nash_has_coarse and expost["holds"] else "fail",
@@ -632,7 +638,7 @@ def _cmd_game_analyze(args) -> int:
     if payoff_tables is not None:
         report["payoff_tables"] = payoff_tables
     if profile is not None:
-        report["profile"] = _profile_json(profile)
+        report["profile"] = _profile_json(spec, profile)
         report["profile_payoffs"] = {
             h: format_value(expected_payoff(spec, profile, h)) for h in spec.suppliers
         }
@@ -666,7 +672,7 @@ def _cmd_game_simulate(args) -> int:
     report = {
         "kind": "game_simulation",
         "mode": mode,
-        "profile": _profile_json(profile),
+        "profile": _profile_json(spec, profile),
         "per_player": per_player,
         "verdict": "pass" if ok else "fail",
     }
@@ -948,6 +954,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "csv", False) and args.out is None:
+        parser.error("--csv needs --out")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .lattice import CoinVector, GroundSet, SetFunction, random_increasing, up_closure
 from .numerics import Value
-from .partition_game import GameSpec, PartitionStrategy, StrategyProfile, enumerate_partitions
+from .partition_game import GameSpec, StrategyProfile
 from .scenarios import MergerScenario, MilitaryScenario, TwoInputProduction, weighted_voting
 
 
@@ -140,8 +140,4 @@ def random_game_spec(
 
 def random_profile(rng: random.Random, spec: GameSpec) -> StrategyProfile:
     """Uniformly random partition choice per supplier."""
-    picks: list[PartitionStrategy] = []
-    for h, owned in zip(spec.suppliers, spec.supply):
-        options = enumerate_partitions(owned, owner=h)
-        picks.append(rng.choice(options))
-    return StrategyProfile(picks)
+    return StrategyProfile(rng.choice(spec.strategies(h)) for h in spec.suppliers)

@@ -55,14 +55,6 @@ def _sample_masks(
     return _success_masks(spec, profile, arrived)
 
 
-def _sample_products(
-    spec: GameSpec, profile: StrategyProfile, hi: int, samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized draws of prod_k F_k^h(S_k)."""
-    tables = [np.array(row[hi].values, dtype=float) for row in spec.payoffs]
-    return _table_product(tables, _sample_masks(spec, profile, samples, rng), np.ones(samples))
-
-
 def _report(vals: np.ndarray, samples: int, seed: int) -> EstimateReport:
     # The sum and the squared deviations overflow long before the values
     # do: scale values above 2**400 down by a power of two, which is exact,
@@ -87,8 +79,9 @@ def estimate_payoff(
     hi = spec.h_index(h)
     _validate_profile(spec, profile)
     _check_float_range(spec)
-    vals = _sample_products(spec, profile, hi, samples, generator(seed))
-    return _report(vals, samples, seed)
+    tables = [np.array(row[hi].values, dtype=float) for row in spec.payoffs]
+    masks = _sample_masks(spec, profile, samples, generator(seed))
+    return _report(_table_product(tables, masks, np.ones(samples)), samples, seed)
 
 
 def estimate_convolution(

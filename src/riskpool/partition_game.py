@@ -42,11 +42,9 @@ MAX_PROFILES = 10 ** 6
 class PartitionStrategy:
     """One supplier's split of its commodity set into disjoint shipments."""
 
-    owner: str
     blocks: tuple[tuple[str, ...], ...]
 
-    def __init__(self, owner: str, blocks: Iterable[Iterable[str]]):
-        object.__setattr__(self, "owner", owner)
+    def __init__(self, blocks: Iterable[Iterable[str]]):
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in blocks))
         seen: set[str] = set()
         for block in self.blocks:
@@ -62,7 +60,7 @@ class PartitionStrategy:
         return frozenset(k for b in self.blocks for k in b)
 
 
-def enumerate_partitions(commodities: Sequence[str], owner: str = "") -> list[PartitionStrategy]:
+def enumerate_partitions(commodities: Sequence[str]) -> list[PartitionStrategy]:
     """All partitions of the commodity sequence, in canonical block order."""
     items = tuple(commodities)
     if len(set(items)) != len(items):
@@ -75,24 +73,22 @@ def enumerate_partitions(commodities: Sequence[str], owner: str = "") -> list[Pa
     parts: list[tuple[tuple[str, ...], ...]] = [()]
     for k in items:
         parts = [p[:b] + (blk + (k,),) + p[b + 1 :] for p in parts for b, blk in enumerate(p + ((),))]
-    return [PartitionStrategy(owner, blocks) for blocks in parts]
+    return [PartitionStrategy(blocks) for blocks in parts]
 
 
-def coarse_strategy(owner: str, commodities: Sequence[str]) -> PartitionStrategy:
+def coarse_strategy(commodities: Sequence[str]) -> PartitionStrategy:
     """The single-shipment strategy (empty commodity set: no shipment at all)."""
     items = tuple(commodities)
-    return PartitionStrategy(owner, (items,) if items else ())
+    return PartitionStrategy((items,) if items else ())
 
 
-def finest_strategy(owner: str, commodities: Sequence[str]) -> PartitionStrategy:
+def finest_strategy(commodities: Sequence[str]) -> PartitionStrategy:
     """One shipment per commodity."""
-    return PartitionStrategy(owner, ((k,) for k in commodities))
+    return PartitionStrategy((k,) for k in commodities)
 
 
 def coarser(p_strat: PartitionStrategy, q_strat: PartitionStrategy) -> bool:
     """True iff every block of q_strat lies inside some block of p_strat."""
-    if p_strat.owner != q_strat.owner:
-        raise ValueError("strategies belong to different owners")
     if p_strat.commodity_set != q_strat.commodity_set:
         raise ValueError("strategies cover different commodity sets")
     coarse_sets = [set(b) for b in p_strat.blocks]
@@ -222,12 +218,12 @@ class GameSpec:
         return self.supply[self.h_index(h)]
 
     def strategies(self, h: str) -> list[PartitionStrategy]:
-        return enumerate_partitions(self.supply_of(h), owner=h)
+        return enumerate_partitions(self.supply_of(h))
 
     def strategy(self, h: str, blocks: Iterable[Iterable[str]]) -> PartitionStrategy:
         blocks = [sorted(b, key=self.k_index) for b in blocks]
         blocks.sort(key=lambda b: self.k_index(b[0]) if b else -1)
-        strat = PartitionStrategy(h, blocks)
+        strat = PartitionStrategy(blocks)
         if strat.commodity_set != set(self.supply_of(h)):
             raise ValueError(f"blocks do not partition the supply set of {h!r}")
         return strat
@@ -240,14 +236,10 @@ class GameSpec:
         )
 
     def coarse_profile(self) -> StrategyProfile:
-        return StrategyProfile(
-            coarse_strategy(h, owned) for h, owned in zip(self.suppliers, self.supply)
-        )
+        return StrategyProfile(coarse_strategy(owned) for owned in self.supply)
 
     def finest_profile(self) -> StrategyProfile:
-        return StrategyProfile(
-            finest_strategy(h, owned) for h, owned in zip(self.suppliers, self.supply)
-        )
+        return StrategyProfile(finest_strategy(owned) for owned in self.supply)
 
 
 def _check_float_range(spec: GameSpec) -> None:
@@ -271,8 +263,6 @@ def _validate_profile(spec: GameSpec, profile: StrategyProfile) -> None:
     if len(profile.strategies) != len(spec.suppliers):
         raise ValueError("profile must contain one strategy per supplier")
     for h, owned, strat in zip(spec.suppliers, spec.supply, profile.strategies):
-        if strat.owner != h:
-            raise ValueError(f"strategy at the position of {h!r} is owned by {strat.owner!r}")
         if strat.commodity_set != set(owned):
             raise ValueError(f"strategy of {h!r} does not partition its supply set")
 
@@ -592,7 +582,8 @@ def best_replies(spec: GameSpec, profile: StrategyProfile, h: str) -> list[Parti
 
 @dataclass(frozen=True)
 class DominanceViolation:
-    """Witness that a coarser strategy paid strictly less somewhere."""
+    """Witness that a coarser strategy paid strictly less somewhere; the
+    opponents are the other suppliers' strategies, in supplier order."""
 
     opponents: tuple[PartitionStrategy, ...]
     better: PartitionStrategy

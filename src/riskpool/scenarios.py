@@ -133,7 +133,9 @@ class MergerScenario:
     def __post_init__(self):
         _common_ground(self.p, self.f_a, self.f_b)
         for f in (self.f_a, self.f_b):
-            _check_voting_rule(f)
+            _check_increasing_indicator(f, "voting rule", "must be increasing")
+            if f.values[0] != 0 or f.values[-1] != 1:
+                raise ValueError("voting rule must reject {} and accept the full set")
 
 
 def _check_increasing_indicator(f: SetFunction, name: str, not_increasing: str) -> None:
@@ -141,12 +143,6 @@ def _check_increasing_indicator(f: SetFunction, name: str, not_increasing: str) 
         raise ValueError(f"{name} must be 0/1 valued")
     if not is_increasing(f):
         raise ValueError(f"{name} {not_increasing}")
-
-
-def _check_voting_rule(f: SetFunction) -> None:
-    _check_increasing_indicator(f, "voting rule", "must be increasing")
-    if f.values[0] != 0 or f.values[-1] != 1:
-        raise ValueError("voting rule must reject {} and accept the full set")
 
 
 def merger_table(sc: MergerScenario) -> SetFunction:

@@ -207,13 +207,13 @@ def test_c08_merging_two_shipments_never_hurts_ex_post():
         profile = random_profile(rng, spec)
         picks = list(profile.strategies)
         hi = rng.choice(wide)
-        picks[hi] = finest_strategy(spec.suppliers[hi], spec.supply[hi])
+        picks[hi] = finest_strategy(spec.supply[hi])
         profile = StrategyProfile(picks)
         if sum(len(s.blocks) for s in profile.strategies) > 10:
             profile = StrategyProfile(
                 [
-                    finest_strategy(h, owned) if gi == hi else random_profile(rng, spec).strategies[gi]
-                    for gi, (h, owned) in enumerate(zip(spec.suppliers, spec.supply))
+                    finest_strategy(owned) if gi == hi else random_profile(rng, spec).strategies[gi]
+                    for gi, owned in enumerate(spec.supply)
                 ]
             )
         blocks = [(gi, bi) for gi, s in enumerate(profile.strategies) for bi in range(len(s.blocks))]

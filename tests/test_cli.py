@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riskpool import cli, partition_game
+from riskpool import cli, partition_game, scenarios
 from riskpool.cli import main
 from riskpool.convolution import convolve, partition_expectation
 from riskpool.lattice import (
@@ -152,6 +152,26 @@ def test_mode_flag_overrides_config(tmp_path, capsys):
     assert isinstance(report["table"][""], float)
 
 
+def test_mode_flag_does_not_hide_a_bad_config_mode(tmp_path, capsys):
+    cfg = _write(tmp_path, "conv.json", {**CONV_CONFIG, "mode": "weird"})
+    for flag in ([], ["--mode", "float"]):
+        code, out, err = _run(capsys, ["convolve", "--config", cfg, *flag])
+        assert code == 2 and out == ""
+        assert err.startswith("config error: ")
+        assert err.rstrip().endswith("mode must be 'exact' or 'float', got 'weird'")
+
+
+@pytest.mark.parametrize("command, config", [("convolve", CONV_CONFIG), ("scenario", MILITARY_CONFIG)])
+def test_csv_without_out_is_a_usage_error(tmp_path, capsys, command, config):
+    cfg = _write(tmp_path, "cfg.json", config)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith("error: --csv needs --out")
+
+
 def test_max_ground_enforced(tmp_path, capsys):
     cfg = _write(tmp_path, "conv.json", CONV_CONFIG)
     code, _, err = _run(capsys, ["convolve", "--config", cfg, "--max-ground", "1"])
@@ -233,6 +253,24 @@ def test_military_scenario_report(tmp_path, capsys):
     assert report["neither_disabled"] == {"": "1/4", "t": "1/2"}
     assert report["exactly_one"] == {"": "1/2", "t": 0}
     assert all(report["checks"].values())
+
+
+def test_military_outcomes_check_sees_a_wrong_neither_table(tmp_path, capsys, monkeypatch):
+    # military_tables' second convolve builds the neither table; shift it
+    real, calls = scenarios.convolve, []
+
+    def shifted(*args):
+        calls.append(args)
+        table = real(*args)
+        return table + Fraction(1, 100) if len(calls) == 2 else table
+
+    monkeypatch.setattr(scenarios, "convolve", shifted)
+    cfg = _write(tmp_path, "mil.json", MILITARY_CONFIG)
+    code, out, _ = _run(capsys, ["scenario", "--config", cfg])
+    assert len(calls) == 2
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [name for name, ok in checks.items() if not ok] == ["outcomes_sum_to_one"]
 
 
 def test_merger_scenario_report(tmp_path, capsys):

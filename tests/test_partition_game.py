@@ -91,10 +91,9 @@ def test_partitions_come_in_restricted_growth_order():
 
 def test_partitions_are_distinct_and_cover():
     ks = ("a", "b", "c", "d")
-    strategies = enumerate_partitions(ks, owner="h")
+    strategies = enumerate_partitions(ks)
     seen = set()
     for s in strategies:
-        assert s.owner == "h"
         assert s.commodity_set == set(ks)
         key = frozenset(frozenset(b) for b in s.blocks)
         assert key not in seen
@@ -103,24 +102,22 @@ def test_partitions_are_distinct_and_cover():
 
 def test_strategy_validation():
     with pytest.raises(ValueError):
-        PartitionStrategy("h", [["a"], ["a"]])
+        PartitionStrategy([["a"], ["a"]])
     with pytest.raises(ValueError):
-        PartitionStrategy("h", [["a"], []])
-    s = PartitionStrategy("h", [["a", "b"], ["c"]])
+        PartitionStrategy([["a"], []])
+    s = PartitionStrategy([["a", "b"], ["c"]])
     assert s.commodity_set == {"a", "b", "c"}
 
 
 def test_coarser_relation():
-    one = coarse_strategy("h", ["a", "b", "c"])
-    split = PartitionStrategy("h", [["a", "b"], ["c"]])
-    fine = finest_strategy("h", ["a", "b", "c"])
+    one = coarse_strategy(["a", "b", "c"])
+    split = PartitionStrategy([["a", "b"], ["c"]])
+    fine = finest_strategy(["a", "b", "c"])
     assert coarser(one, split) and coarser(split, fine) and coarser(one, fine)
     assert not coarser(fine, split)
     assert coarser(split, split)
     with pytest.raises(ValueError):
-        coarser(one, coarse_strategy("g", ["a", "b", "c"]))
-    with pytest.raises(ValueError):
-        coarser(one, coarse_strategy("h", ["a", "b"]))
+        coarser(one, coarse_strategy(["a", "b"]))
 
 
 def test_spec_strategy_canonicalizes_and_validates():
@@ -326,7 +323,9 @@ def test_single_supplier_two_commodity_values():
 
 def _oracle_payoff(spec, profile, h):
     """h's payoff under the profile from the independent block-pattern oracle."""
-    blocks = [(s.owner, frozenset(b)) for s in profile.strategies for b in s.blocks]
+    blocks = [
+        (g, frozenset(b)) for g, s in zip(spec.suppliers, profile.strategies) for b in s.blocks
+    ]
     p_of = {g: spec.p.p[spec.h_index(g)] for g in spec.suppliers}
     payoff = {}
     for k in spec.commodities:
@@ -393,17 +392,12 @@ def test_exact_coins_with_float_payoffs_give_float_payoffs():
 
 def test_profile_validation():
     spec = _two_supplier_spec()
-    wrong_owner = StrategyProfile(
-        [coarse_strategy("h2", ["a", "b"]), coarse_strategy("h2", ["a"])]
-    )
-    wrong_cover = StrategyProfile(
-        [coarse_strategy("h1", ["a"]), coarse_strategy("h2", ["a"])]
-    )
-    short = StrategyProfile([coarse_strategy("h1", ["a", "b"])])
+    wrong_cover = StrategyProfile([coarse_strategy(["a"]), coarse_strategy(["a"])])
+    short = StrategyProfile([coarse_strategy(["a", "b"])])
     # The second pass runs after find_nash has built the payoff arrays:
     # invalid profiles must still be refused rather than matched to a cell.
     for _ in range(2):
-        for bad in (wrong_owner, wrong_cover, short):
+        for bad in (wrong_cover, short):
             with pytest.raises(ValueError):
                 expected_payoff(spec, bad, "h1")
         find_nash(spec)
@@ -641,7 +635,7 @@ def test_conditional_matches_oracle():
             continue
         h = spec.suppliers[hi]
         blocks = [
-            (s.owner, frozenset(b)) for s in profile.strategies for b in s.blocks
+            (g, frozenset(b)) for g, s in zip(spec.suppliers, profile.strategies) for b in s.blocks
         ]
         offset = sum(len(s.blocks) for s in profile.strategies[:hi])
         fixed_bits = [rng.random() < 0.5 for _ in blocks]
