@@ -87,10 +87,22 @@ def _mask_key(ground: GroundSet, mask: int) -> str:
     return ",".join(sorted(ground.labels_of(mask)))
 
 
+def _subset_keys(ground: GroundSet) -> list[str]:
+    """_mask_key of every mask, indexed by mask: built by doubling over the
+    labels in sorted order, so each key is its labels joined in that order."""
+    keys, masks = [""], [0]
+    for lab in sorted(ground.labels):
+        bit = 1 << ground.index(lab)
+        keys += [k + "," + lab for k in keys]
+        masks += [m | bit for m in masks]
+    placed = [""] * len(keys)
+    for m, k in zip(masks, keys):
+        placed[m] = k[1:]
+    return placed
+
+
 def _table_json(fn: SetFunction) -> dict[str, object]:
-    return {
-        _mask_key(fn.ground, m): format_value(fn.values[m]) for m in fn.ground.subsets()
-    }
+    return dict(zip(_subset_keys(fn.ground), map(format_value, fn.values)))
 
 
 def _parse_key(ground: GroundSet, key: str, path: str) -> int:
@@ -177,8 +189,13 @@ def _setfunction(obj: object, ground: GroundSet, mode: str, path: str) -> SetFun
         raise ConfigError(f"{path}.{form}: expected an object keyed by subsets")
     entries: dict[int, Value] = {}
     keys: dict[int, str] = {}
+    # A table names every subset, so its keys are looked up in the report's
+    # spelling; any other spelling, and every sparse weights key, is parsed.
+    spelled = {k: m for m, k in enumerate(_subset_keys(ground))} if form == "table" else {}
     for key, v in body.items():
-        mask = _parse_key(ground, key, f"{path}.{form}")
+        mask = spelled.get(key)
+        if mask is None:
+            mask = _parse_key(ground, key, f"{path}.{form}")
         if mask in keys:
             raise ConfigError(
                 f"{path}.{form}: keys {keys[mask]!r} and {key!r} name the same subset"
@@ -293,8 +310,7 @@ def _emit(report: dict, out: str | None, tables: Mapping[str, Mapping[str, objec
                 with open(out_dir / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["subset", "value"])
-                    for key in sorted(table):
-                        writer.writerow([key, table[key]])
+                    writer.writerows(sorted(table.items()))
     return 0 if report["verdict"] == "pass" else 1
 
 

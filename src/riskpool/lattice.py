@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .numerics import Value, all_exact, float_array, geq_array, scaled_array, stable_sum
+from .numerics import Value, all_exact, coin_ratio, geq_array, scaled_array
 
 MAX_GROUND = 20
 
@@ -212,13 +212,23 @@ def product_measure_table(p: CoinVector) -> list[Value]:
 
 
 def expectation(f: SetFunction, p: CoinVector) -> Value:
-    """E[f] under the product measure of p."""
+    """E[f] under the product measure of p, in one array pass.
+
+    The weights are product_measure_table's doubling over each coin as
+    win / den.  Exact mode sums integers and divides once; float mode
+    fsums the same float64 products that table's float weights give.
+    """
     if f.ground != p.ground:
         raise ValueError("function and coins live on different ground sets")
-    values, weights = f.values, product_measure_table(p)
-    if not (f.exact and p.exact):
-        values, weights = float_array(values).tolist(), float_array(weights).tolist()
-    return stable_sum([v * w for v, w in zip(values, weights)])
+    exact = f.exact and p.exact
+    table, den = scaled_array(f.values, exact)
+    weights = np.ones(1, dtype=table.dtype)
+    for ph in p.p:
+        win, d = coin_ratio(ph, exact)
+        weights = np.concatenate([weights * (d - win), weights * win])
+        den *= d
+    terms = table * weights
+    return Fraction(int(terms.sum()), den) if exact else math.fsum(terms.tolist())
 
 
 def from_moebius_weights(ground: GroundSet, weights: Mapping[int, Value]) -> SetFunction:

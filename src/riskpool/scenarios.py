@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .convolution import _common_ground, convolve
 from .lattice import CoinVector, GroundSet, SetFunction, is_increasing
-from .numerics import Value, argmax_ties, geq, is_exact, power, stable_sum
+from .numerics import Value, all_exact, argmax_ties, geq, geq_array, is_exact, power, scaled_array, stable_sum
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,10 @@ def weighted_voting(ground: GroundSet, weights: Sequence[Value], quota: Value) -
         raise ValueError("voter weights must be nonnegative")
     if not 0 < quota <= stable_sum(weights):
         raise ValueError("quota must lie in (0, total weight]")
-    totals = _additive_table(ground, weights)
-    return SetFunction(ground, (int(geq(t, quota)) for t in totals))
+    # One comparison of every total with the quota: exact when the weights
+    # and the quota all are, in float64 otherwise.
+    t = scaled_array(_additive_table(ground, weights) + [quota], all_exact(weights + (quota,)))[0]
+    return SetFunction(ground, geq_array(t[:-1], t[-1]).astype(int).tolist())
 
 
 def optimal_strategies(table: SetFunction) -> list[int]:

@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -126,6 +127,41 @@ def test_reports_are_byte_deterministic(tmp_path, capsys):
     _, out1, _ = _run(capsys, ["convolve", "--config", cfg])
     _, out2, _ = _run(capsys, ["convolve", "--config", cfg])
     assert out1 == out2
+
+
+# Label lists whose sorted order is not their ground order: reversed, and
+# mixed case, where "B" sorts before "a".
+KEY_LABELS = [
+    [chr(ord("a") + i) for i in range(10)][::-1],
+    ["a", "B", "c", "D", "e", "F", "g", "H", "i", "J"],
+    [str(10 - i) for i in range(10)],
+]
+
+
+@pytest.mark.parametrize("labels", KEY_LABELS)
+def test_subset_keys_are_the_key_of_every_mask(labels):
+    for n in range(len(labels) + 1):
+        g = GroundSet(labels[:n])
+        keys = cli._subset_keys(g)
+        assert keys == [cli._mask_key(g, m) for m in g.subsets()]
+
+
+def _spelled(labels, order):
+    """A table over labels keyed by each subset's labels in the given order."""
+    return {",".join(order(labels[i] for i in range(len(labels)) if m >> i & 1)): m * m - 3 * m
+            for m in range(1 << len(labels))}
+
+
+@pytest.mark.parametrize("labels", [["b", "a", "C"], ["c", "B", "a", "D"]])
+def test_table_keys_may_list_their_labels_in_any_order(tmp_path, capsys, labels):
+    def run(order):
+        cfg = dict(CONV_CONFIG, ground=labels, p=dict.fromkeys(labels, "1/3"),
+                   f={"table": _spelled(labels, order)}, g={"table": _spelled(labels[::-1], order)})
+        return _run(capsys, ["convolve", "--config", _write(tmp_path, "c.json", cfg)])
+
+    ascending = run(sorted)
+    assert ascending[0] in (0, 1) and ascending[2] == ""
+    assert run(lambda xs: sorted(xs, reverse=True)) == ascending
 
 
 def test_out_dir_and_csv(tmp_path, capsys):
@@ -895,6 +931,9 @@ def _wide_game(commodities, suppliers):
          "commodities must be distinct"),
         (_wide_game(9, 1), {}, "exact analysis is limited to 8 commodities"),
         (_wide_game(1, 7), {}, "exact analysis is limited to 6 suppliers"),
+        # a table key is parsed when it is not in the report's spelling
+        (CONV_CONFIG, {"f": {"table": {"": 0, "a": 1, "b": 1, "a,a": 3}}},
+         "f.table: bad subset key 'a,a': repeated element 'a'"),
     ],
 )
 def test_config_refusals_name_their_path(tmp_path, capsys, base, change, message):
@@ -1208,3 +1247,44 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
+# The refusals of CI's "Console script" step, as the same bytes and flags run
+# through `python -m riskpool.cli` ("@" is the config's path): each exits 2 with the first stderr line
+# (and for a usage error the last one) that the step greps for.  The step's
+# C-locale UTF-8 run is test_config_and_outputs_are_utf8_in_any_locale.
+UTF8_CONFIG = (b'{"kind": "convolution", "ground": ["\xc3\xa9"], "p": {"\xc3\xa9": "1/2"}, '
+               b'"f": {"constant": 1}, "g": {"constant": 2}}')
+CONSOLE_REFUSALS = {
+    "latin1": (UTF8_CONFIG.replace(b"\xc3\xa9", b"\xe9"), ["convolve", "--config", "@"], "^config error: ", None),
+    "unknown-commodity": (
+        b'{"kind": "game", "commodities": ["oil"], "suppliers": ["h1"], "p": {"h1": "1/2"}, '
+        b'"supply": {"h1": ["oil", "zz"]}, "payoffs": {"oil": {"constant": 1}}}',
+        ["game", "analyze", "--config", "@"], "^config error: supply of 'h1': unknown commodity 'zz'", None),
+    "nan": (
+        b'{"kind": "convolution", "mode": "float", "ground": ["a"], "p": {"a": 0.5}, '
+        b'"f": {"table": {"": 0, "a": NaN}}, "g": {"constant": 1}}',
+        ["convolve", "--config", "@"], "^config error: f.table.'a': expected a finite number", None),
+    "bad-mode": (
+        b'{"kind": "convolution", "mode": "weird", "ground": ["a"], "p": {"a": 0.5}, '
+        b'"f": {"constant": 1}, "g": {"constant": 1}}',
+        ["convolve", "--config", "@", "--mode", "float"],
+        "^config error: .*mode must be 'exact' or 'float', got 'weird'", None),
+    "csv-without-out": (UTF8_CONFIG, ["convolve", "--config", "@", "--csv"], "^usage: riskpool ", "error: --csv needs --out$"),
+}
+
+
+@pytest.mark.parametrize("name", CONSOLE_REFUSALS)
+def test_console_script_refusals(tmp_path, name):
+    config, argv, first, last = CONSOLE_REFUSALS[name]
+    path = tmp_path / "c.json"
+    path.write_bytes(config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "riskpool.cli", *(str(path) if a == "@" else a for a in argv)],
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert re.search(first, lines[0]), lines[0]
+    assert last is None or re.search(last, lines[-1]), lines[-1]

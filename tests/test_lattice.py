@@ -1,6 +1,7 @@
 """Ground sets, subset tables, the product measure, the coupled pair law,
 and monotone families."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -220,11 +221,25 @@ def test_expectation_worked_example():
 def test_expectation_matches_oracle_exact():
     rng = random.Random(11)
     for _ in range(25):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 9)
         g = _ground(n)
         p = CoinVector(g, [Fraction(rng.randint(0, 6), 6) for _ in range(n)])
         f = SetFunction(g, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in g.subsets()])
         assert expectation(f, p) == oracles.mean(oracles.table_of(f), oracles.probs_of(p))
+
+
+def test_float_expectation_is_the_fsum_of_the_weighted_table():
+    # Float reports must not move by one bit: the fsum of each entry times
+    # its product_measure_table weight, degenerate coins included.
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randint(0, 12)
+        g = _ground(n)
+        p = CoinVector(g, [rng.choice((0, 1, 0.0, 1.0, rng.random(), rng.random())) for _ in range(n)])
+        p = p if not p.exact else CoinVector(g, [float(v) for v in p.p])
+        f = SetFunction(g, [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in g.subsets()])
+        want = math.fsum(v * w for v, w in zip(f.values, product_measure_table(p)))
+        assert expectation(f, p).hex() == want.hex()
 
 
 # -- coupled pair law --------------------------------------------------------

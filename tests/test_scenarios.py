@@ -22,7 +22,7 @@ from riskpool.lattice import (
     is_increasing,
     up_closure,
 )
-from riskpool.numerics import close
+from riskpool.numerics import REL_TOL, close, geq
 from riskpool.scenarios import (
     MergerScenario,
     MilitaryScenario,
@@ -294,6 +294,48 @@ def test_weighted_voting_quota_bounds():
     # quota exactly at the total weight means unanimity
     f = weighted_voting(g, (1, 2), 3)
     assert f.values == (0, 0, 0, 1)
+
+
+def _totals(weights):
+    """Each subset's weight, added from its highest element down."""
+    n = len(weights)
+    return [sum(weights[i] for i in reversed(range(n)) if m >> i & 1) for m in range(1 << n)]
+
+
+def test_weighted_voting_decides_each_total_as_geq():
+    rng = random.Random(74)
+    decided = set()
+    for _ in range(30):
+        g = _ground(rng.randint(1, 6))
+        weights = tuple(rng.uniform(0.0, 10.0) ** 3 for _ in range(g.n))
+        totals = _totals(weights)
+        t = rng.choice([v for v in totals if v > 0])
+        # quotas within and just beyond the REL_TOL slack of one total
+        for steps in (-2.0, 0.5, 0.999, 1.001, 2.0):
+            quota = t + steps * REL_TOL * t
+            if not 0 < quota <= sum(weights):
+                continue
+            f = weighted_voting(g, weights, quota)
+            assert f.values == tuple(int(geq(v, quota)) for v in totals)
+            decided.add((steps, f.values[totals.index(t)]))
+    assert {(0.999, 1), (1.001, 0)} <= decided
+
+
+def test_weighted_voting_exact_ties():
+    rng = random.Random(75)
+    for _ in range(30):
+        g = _ground(rng.randint(1, 6))
+        weights = tuple(Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(g.n))
+        totals = _totals(weights)
+        positive = [v for v in totals if v > 0]
+        if not positive:
+            continue
+        tie = rng.choice(positive)
+        for quota in (tie, tie - Fraction(1, 10**12), tie + Fraction(1, 10**12)):
+            if not 0 < quota <= sum(weights):
+                continue
+            f = weighted_voting(g, weights, quota)
+            assert f.values == tuple(int(v >= quota) for v in totals)
 
 
 def test_random_voting_rules_are_valid_merger_inputs():
