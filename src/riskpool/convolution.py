@@ -22,6 +22,8 @@ of Boolean Functions, ch. 8).  The sum over subsets of S is one fast zeta
 transform, so the table costs O(n 2**n).  It runs one path in both numeric
 modes: exact tables and coins enter as integers over a scale (see
 `numerics.scaled_array` and `numerics.coin_ratio`), float ones over 1.
+The same kernel takes a leading batch axis, one coin vector per row, so
+many small tables on one ground set cost one pass of numpy calls.
 `convolve_bruteforce` evaluates the defining double sum for a single S over
 product-measure weight tables, one route in both modes with nothing of the
 kernel's, and exists to cross-check the fast route, never to be replaced
@@ -63,15 +65,21 @@ def _check_product_range(fa: np.ndarray, ga: np.ndarray) -> None:
         raise ValueError("the largest product max|f| max|g| is beyond float range")
 
 
-def _coupled_sum(
-    fa: np.ndarray, ga: np.ndarray, coins: list[tuple[Value, Value, Value, Value]]
-) -> np.ndarray:
-    # coins[i] = (s, c, w_in, w_out).  Per coordinate, the butterfly
-    #   (lo, hi) -> (s lo + c (hi - lo), s (hi - lo))
-    # takes both tables to p-biased coefficients, each scaled by prod s;
-    # entry A of the product is then weighted by w_in for i in A and w_out
-    # otherwise, and a zeta transform sums it over the submasks of S.
-    # Overwrites fa and ga.
+def _coupled_sum(fa: np.ndarray, ga: np.ndarray, coins: list[tuple]) -> np.ndarray:
+    """The scaled table of f * g from the scaled tables fa and ga.
+
+    coins[i] = (s, c, w_in, w_out).  Per coordinate, the butterfly
+      (lo, hi) -> (s lo + c (hi - lo), s (hi - lo))
+    takes both tables to p-biased coefficients, each scaled by prod s;
+    entry A of the product is then weighted by w_in for i in A and w_out
+    otherwise, and a zeta transform sums it over the submasks of S.
+
+    fa and ga are flat 2**n tables with scalar coins, or (B, 2**n) batches
+    of rows with one coin per row: s and c as (B, 1, 1) columns, which
+    broadcast over each row's halves, and w_in and w_out as (B, 1) columns,
+    which broadcast over its weights.  Each row takes the same operations
+    as its own flat call.  Overwrites fa and ga.
+    """
     for a in (fa, ga):
         for i, (s, c, _, _) in enumerate(coins):
             lo, hi = _halves(a, i)
@@ -79,12 +87,24 @@ def _coupled_sum(
             lo *= s
             lo += c * hi
             hi *= s
-    w = np.ones(1, dtype=fa.dtype)
+    w = np.ones(fa.shape[:-1] + (1,), dtype=fa.dtype)
     for _, _, w_in, w_out in coins:
-        w = np.concatenate([w * w_out, w * w_in])
+        w = np.concatenate([w * w_out, w * w_in], axis=-1)
     out = fa * ga
     out *= w
     return _zeta(out, len(coins))
+
+
+def _scaled_coins(p: CoinVector, exact: bool) -> tuple[list[tuple[Value, Value, Value, Value]], int]:
+    # For the coin a/d the butterfly is scaled by d and the weights are
+    # a (d - a) inside A and d**2 outside it, so every entry carries d**4
+    # per coin.  A float coin is (p, 1): the float run has scale 1.
+    coins, den = [], 1
+    for ph in p.p:
+        a, d = coin_ratio(ph, exact)
+        coins.append((d, a, a * (d - a), d * d))
+        den *= d**4
+    return coins, den
 
 
 def convolve(f: SetFunction, g: SetFunction, p: CoinVector) -> SetFunction:
@@ -96,18 +116,51 @@ def convolve(f: SetFunction, g: SetFunction, p: CoinVector) -> SetFunction:
     """
     ground = _common_ground(p, f, g)
     exact = f.exact and g.exact and p.exact
-    # Each table is integers over its scale (the lcm of its denominators);
-    # for the coin a/d the butterfly is scaled by d and the weights are
-    # a (d - a) inside A and d**2 outside it, so every entry carries d**4
-    # per coin.  A float coin is (p, 1): the float run has scale 1.
+    # Each table is integers over its scale, the lcm of its denominators.
     (fa, scale_f), (ga, scale_g) = scaled_array(f.values, exact), scaled_array(g.values, exact)
-    coins, den = [], scale_f * scale_g
-    for ph in p.p:
-        a, d = coin_ratio(ph, exact)
-        coins.append((d, a, a * (d - a), d * d))
-        den *= d**4
+    coins, den = _scaled_coins(p, exact)
     out = _coupled_sum(fa, ga, coins).tolist()
+    den *= scale_f * scale_g
     return SetFunction(ground, [Fraction(x, den) for x in out] if exact else out)
+
+
+def _distinct(xs: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct objects of xs by identity, in first-seen order, and the
+    position of each x among them."""
+    first: dict[int, int] = {}
+    at = [first.setdefault(id(x), len(first)) for x in xs]
+    return list({id(x): x for x in xs}.values()), np.array(at, dtype=np.intp)
+
+
+def _convolve_rows(
+    rows: Sequence[tuple[SetFunction, SetFunction, CoinVector]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of f * g for rows (f, g, p) on one ground set, from one
+    batched `_coupled_sum`: a (B, 2**n) array and each row's scale.
+
+    The batch is one computation, exact when every operand is: its rows
+    are integers over their scale, the values `convolve` divides.  Float
+    rows are over 1, bit for bit each row's `convolve`.  Rows may share
+    operands (an exhaustive sweep pairs every table with every other), so
+    each distinct one is scaled once and gathered by index.
+    """
+    fns, fg = _distinct([h for f, g, _ in rows for h in (f, g)])
+    coin_vectors, pi = _distinct([p for _, _, p in rows])
+    if len({x.ground for x in fns + coin_vectors}) != 1:
+        raise ValueError("rows live on different ground sets")
+    exact = all(h.exact for h in fns) and all(p.exact for p in coin_vectors)
+    tables = [scaled_array(h.values, exact) for h in fns]
+    coin_sets = [_scaled_coins(p, exact) for p in coin_vectors]
+    table = np.stack([t for t, _ in tables])
+    coins = np.array([c for c, _ in coin_sets], dtype=table.dtype)[pi]
+    columns = [
+        (coins[:, i, 0, None, None], coins[:, i, 1, None, None], coins[:, i, 2, None], coins[:, i, 3, None])
+        for i in range(coins.shape[1])
+    ]
+    fi, gi = fg.reshape(-1, 2).T
+    scales = np.array([s for _, s in tables], dtype=object)
+    coin_scales = np.array([d for _, d in coin_sets], dtype=object)
+    return _coupled_sum(table[fi], table[gi], columns), scales[fi] * scales[gi] * coin_scales[pi]
 
 
 def convolve_bruteforce(f: SetFunction, g: SetFunction, p: CoinVector, coupled: int) -> Value:

@@ -157,18 +157,32 @@ class SetFunction:
 
 
 def _halves(a: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of a flat table's entries without element i (lo) and with it
-    (hi): lo[k] and hi[k] form the covering pair (S, S + {i})."""
-    v = a.reshape(-1, 2, 1 << i)
-    return v[:, 0], v[:, 1]
+    """Views of a table's entries without element i (lo) and with it (hi)
+    along its last axis: lo[..., k] and hi[..., k] form the covering pair
+    (S, S + {i}).  A flat table and a (B, 2**n) batch of rows split alike,
+    each row on its own."""
+    v = a.reshape(*a.shape[:-1], -1, 2, 1 << i)
+    return v[..., 0, :], v[..., 1, :]
 
 
 def _zeta(a: np.ndarray, n: int) -> np.ndarray:
-    """In place: a[S] becomes the sum of a[T] over T <= S, element by element."""
+    """In place: a[..., S] becomes the sum of a[..., T] over T <= S, element
+    by element, in every row of a batch at once."""
     for i in range(n):
         lo, hi = _halves(a, i)
         hi += lo
     return a
+
+
+def _increasing_rows(table: np.ndarray, n: int) -> np.ndarray:
+    """Whether each row of a (..., 2**n) table is increasing on every
+    covering pair: exact on `scaled_array`'s integers, within the
+    `numerics.geq` slack on float64.  One pass per element for all rows."""
+    ok = np.ones(table.shape[:-1], dtype=bool)
+    for i in range(n):
+        lo, hi = _halves(table, i)
+        ok &= geq_array(hi, lo).all(axis=(-2, -1))
+    return ok
 
 
 def is_increasing(f: SetFunction) -> bool:
@@ -178,12 +192,7 @@ def is_increasing(f: SetFunction) -> bool:
     and compared as integers.  A table holding any float is compared in
     float64 within the `numerics.geq` slack.
     """
-    table = scaled_array(f.values, f.exact)[0]
-    for i in range(f.ground.n):
-        lo, hi = _halves(table, i)
-        if not geq_array(hi, lo).all():
-            return False
-    return True
+    return bool(_increasing_rows(scaled_array(f.values, f.exact)[0], f.ground.n))
 
 
 def is_decreasing(f: SetFunction) -> bool:

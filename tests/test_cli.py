@@ -513,11 +513,23 @@ def test_verify_max_ground_caps_every_convolution_sweep(monkeypatch, capsys):
 
     for name in ("convolve", "estimate_convolution", "convolve_bruteforce"):
         spy(name, getattr(cli, name))
+    # The monotone sweeps convolve in batches: record every row's width.
+    widths = []
+    convolve_rows = cli._convolve_rows
+
+    def batched(rows):
+        table, scales = convolve_rows(rows)
+        widths.extend([table.shape[-1]] * len(rows))
+        return table, scales
+
+    monkeypatch.setattr("riskpool.cli._convolve_rows", batched)
     code = main(["verify", "--max-ground", "2", "--samples", "2000", "--seed", "7"])
     capsys.readouterr()
     assert code == 0
     assert sorted(sizes) == ["convolve", "convolve_bruteforce", "estimate_convolution"]
     assert max(max(ns) for ns in sizes.values()) == 2
+    assert len(widths) == 27 + 324 + 800  # every monotone instance
+    assert max(widths) == 1 << 2
 
 
 def test_verify_reports_a_failing_sweep(monkeypatch, capsys):

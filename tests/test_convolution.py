@@ -3,6 +3,7 @@ independent evaluation routes (p-biased Fourier kernel vs literal double
 sum vs element-elimination recursion)."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -12,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from riskpool import cli
+from riskpool.cli import main
 from riskpool.convolution import (
+    _convolve_rows,
     convolve,
     convolve_bruteforce,
     harris_gap,
@@ -29,7 +33,7 @@ from riskpool.lattice import (
     is_increasing,
     random_increasing,
 )
-from riskpool.numerics import close, close_array, is_exact
+from riskpool.numerics import close, close_array, format_value, is_exact
 
 
 def _ground(n):
@@ -272,6 +276,91 @@ def test_kernel_matches_recursion_float(inputs):
     assert all(isinstance(v, float) for v in table)
     for got, want in zip(table, _recursion(f, gg, p)):
         assert close(got, want)
+
+
+# -- the batch axis ------------------------------------------------------------
+
+
+def _batch_rows(rng, n, exact):
+    """Rows on n elements that share operands, with all-0, all-1 and
+    alternating degenerate coins among the random ones."""
+    g = _ground(n)
+    fns = [random_setfunction(rng, g, exact=exact) for _ in range(3)]
+    coins = [random_coin_vector(rng, g, exact=exact, degenerate=True) for _ in range(3)]
+    coins += [CoinVector(g, [(i + j) % 2 for i in range(n)]) for j in range(2)]
+    coins += [CoinVector(g, [0] * n), CoinVector(g, [1] * n)]
+    if not exact:
+        coins = [CoinVector(g, map(float, p.p)) for p in coins]
+    return [(f, gg, p) for p in coins for f in fns for gg in fns]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_exact_batched_rows_match_the_recursion(n):
+    rows = _batch_rows(random.Random(60 + n), n, exact=True)
+    table, scales = _convolve_rows(rows)
+    assert table.shape == (len(rows), 1 << n) and table.dtype == object
+    for row, scale, (f, gg, p) in zip(table.tolist(), scales, rows):
+        assert [Fraction(x, scale) for x in row] == _recursion(f, gg, p)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_float_batched_rows_are_each_rows_convolve(n):
+    rows = _batch_rows(random.Random(70 + n), n, exact=False)
+    # an exact operand in a float batch goes float, as it does in convolve
+    rows.append((random_setfunction(random.Random(n), _ground(n), exact=True), *rows[0][1:]))
+    table, scales = _convolve_rows(rows)
+    assert table.dtype == float and scales.tolist() == [1] * len(rows)
+    for row, (f, gg, p) in zip(table.tolist(), rows):
+        assert row == list(convolve(f, gg, p).values)
+
+
+def test_batched_rows_refuse_mixed_ground_sets():
+    f, h = SetFunction.constant(_ground(2), 1), SetFunction(GroundSet(["a", "b"]), (0, 1, 1, 2))
+    p = CoinVector(_ground(2), (0.5, 0.5))
+    with pytest.raises(ValueError):
+        _convolve_rows([(f, f, p), (h, h, p)])
+
+
+def _monotone_exhaustive_one_by_one(max_ground, indicators):
+    """The exhaustive monotone sweep as one convolve and one is_increasing
+    call per instance: instances up to the first failure, and its certificate."""
+    grid = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    count = 0
+    for n in range(1, min(3, max_ground) + 1):
+        ground = _ground(n)
+        fns = indicators(ground)
+        for ps in itertools.product(grid, repeat=n):
+            p = CoinVector(ground, ps)
+            for f in fns:
+                for gg in fns:
+                    count += 1
+                    if not is_increasing(convolve(f, gg, p)):
+                        return count, {
+                            "n": n,
+                            "p": [format_value(v) for v in ps],
+                            "f": [int(v) for v in f.values],
+                            "g": [int(v) for v in gg.values],
+                        }
+    return count, None
+
+
+def test_batched_sweep_reports_a_late_failure_like_the_one_by_one_loop(monkeypatch, capsys):
+    # The decreasing indicator of {} joins the n = 3 group only, so the
+    # first failure lies past both smaller groups and deep in the last.
+    def with_empty_set_indicator_at_three(ground):
+        fns = all_monotone_indicators(ground)
+        if ground.n == 3:
+            fns.append(SetFunction(ground, [int(m == 0) for m in ground.subsets()]))
+        return fns
+
+    instances, certificate = _monotone_exhaustive_one_by_one(3, with_empty_set_indicator_at_three)
+    assert certificate is not None and certificate["n"] == 3 and instances > 27 + 324 + 21
+    monkeypatch.setattr(cli, "all_monotone_indicators", with_empty_set_indicator_at_three)
+    code = main(["verify", "--max-ground", "3", "--samples", "2000", "--seed", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    check = next(c for c in report["checks"] if c["name"] == "monotone_exhaustive")
+    assert (check["instances"], check["certificate"]) == (instances, certificate)
 
 
 # -- monotonicity and the correlation gap ------------------------------------

@@ -1,8 +1,10 @@
 """Value parsing, comparison tolerances, and the shared sum/power helpers."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +19,12 @@ from riskpool.lattice import (
     is_increasing,
 )
 from riskpool.numerics import (
+    REL_TOL,
     argmax_ties,
     close,
     format_value,
     geq,
+    geq_array,
     is_exact,
     parse_value,
     power,
@@ -113,6 +117,19 @@ def _near_ties(draw):
     near = st.integers(-4, 4).map(lambda k: _ulps(cut, k))
     rest = draw(st.lists(near | st.floats(-2e3, best), max_size=6))
     return draw(st.permutations([best, *rest]))
+
+
+def test_geq_array_is_geq_at_the_slack_edge():
+    # x sits within one ulp of y - slack(x, y) and below y, so |y| > |x|
+    # and the slack scales with |y|.  Some pairs fall between the edge of
+    # that scale and the edge of a slack scaled by |x| alone.
+    rng = random.Random(19)
+    ys = [10 ** rng.uniform(-2, 12) for _ in range(3000)]
+    pairs = [(_ulps(y - REL_TOL * y, k), y) for y in ys for k in (-1, 0, 1)]
+    assert all(abs(y) > abs(x) for x, y in pairs)
+    assert any(REL_TOL * x < y - x <= REL_TOL * y for x, y in pairs)
+    x, y = (np.array(col) for col in zip(*pairs))
+    assert geq_array(x, y).tolist() == [geq(a, b) for a, b in pairs]
 
 
 _exact_lists = st.lists(

@@ -13,7 +13,8 @@ import pytest
 
 import oracles
 from riskpool import cli, partition_game
-from riskpool.generators import random_game_spec, random_profile
+from riskpool.convolution import convolve, partition_expectation
+from riskpool.generators import random_coin_vector, random_game_spec, random_profile
 from riskpool.lattice import CoinVector, GroundSet, SetFunction, expectation, random_increasing
 from riskpool.numerics import close
 from riskpool.partition_game import (
@@ -571,6 +572,56 @@ def test_profile_over_the_block_cap_is_refused():
     assert sum(len(s.blocks) for s in profile.strategies) == MAX_TOTAL_BLOCKS + 1
     with pytest.raises(ValueError, match="shipment blocks"):
         expected_payoff(spec, profile, "h1")
+
+
+# The coupled expectation E_pi: functions in one block of pi_h see one coin
+# of h, functions in different blocks independent coins.  The convolution
+# table is its two-function case and partition_expectation its case with
+# one pi for every element, so the game's strategy-law contraction and the
+# p-biased kernel are oracles of each other.
+
+
+def _owners_of_everything_spec(rng, n, k):
+    """n suppliers who each own all k commodities, exact random increasing
+    payoffs shared by every player, and exact coins, some 0 or 1."""
+    g = GroundSet([f"s{i}" for i in range(n)])
+    ks = [f"k{j}" for j in range(k)]
+    return GameSpec(
+        commodities=ks,
+        supply={h: ks for h in g.labels},
+        p=random_coin_vector(rng, g, exact=True, degenerate=True),
+        payoffs={c: random_increasing(rng, g, rng.randint(1, 2 * n + 2), exact=True) for c in ks},
+    )
+
+
+def test_two_commodity_payoff_is_the_convolution_table():
+    rng = random.Random(131)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            spec = _owners_of_everything_spec(rng, n, 2)
+            ground = spec.p.ground
+            table = convolve(spec.payoffs[0][0], spec.payoffs[1][0], spec.p).values
+            for mask in ground.subsets():
+                # the suppliers in S ship both commodities in one block
+                pooled = set(ground.labels_of(mask))
+                profile = spec.profile(
+                    {h: [["k0", "k1"]] if h in pooled else [["k0"], ["k1"]] for h in spec.suppliers}
+                )
+                for h in spec.suppliers:
+                    assert expected_payoff(spec, profile, h) == table[mask]
+
+
+def test_one_partition_for_every_supplier_is_partition_expectation():
+    rng = random.Random(137)
+    for n, k in ((1, 3), (2, 2), (2, 4), (3, 3)):
+        spec = _owners_of_everything_spec(rng, n, k)
+        fns = [row[0] for row in spec.payoffs]
+        for strategy in enumerate_partitions(spec.commodities):
+            profile = StrategyProfile([strategy] * n)
+            blocks = [[spec.k_index(c) for c in block] for block in strategy.blocks]
+            want = partition_expectation(fns, blocks, spec.p)
+            for h in spec.suppliers:
+                assert expected_payoff(spec, profile, h) == want
 
 
 # -- conditional two-block comparison ---------------------------------------------
