@@ -294,21 +294,30 @@ def _pattern_masks(
         raise ValueError(f"exact enumeration is limited to {MAX_TOTAL_BLOCKS} shipment blocks")
     starts = range(0, 1 << total, _SLICE_ROWS)
     rows = (np.arange(start, min(1 << total, start + _SLICE_ROWS)) for start in starts)
-    return ((r, _success_masks(spec, base, _arrival_rows(r, total))) for r in rows)
+    return (
+        (r, _success_masks(spec, base, _by_supplier(base, _arrival_rows(r, total)))) for r in rows
+    )
 
 
-def _success_masks(spec: GameSpec, profile: StrategyProfile, arrived: np.ndarray) -> np.ndarray:
-    """Success masks, (rows x commodities), of a boolean (rows x blocks)
-    arrival matrix whose columns are the profile's blocks, supplier by
-    supplier: entry [r, k] has the bit of every supplier whose block holding
-    k arrived in row r.  Masks stay below 2**MAX_SUPPLIERS, so uint8."""
-    bits = arrived.view(np.uint8)
-    masks = np.zeros((len(spec.commodities), len(bits)), dtype=np.uint8)
-    col = 0
-    for gi, strat in enumerate(profile.strategies):
-        for block in strat.blocks:
-            masks[[spec.k_index(k) for k in block]] |= bits[:, col] << gi
-            col += 1
+def _by_supplier(profile: StrategyProfile, arrived: np.ndarray) -> list[np.ndarray]:
+    """A (rows x blocks) arrival matrix split into one view per supplier."""
+    ends = np.cumsum([len(s.blocks) for s in profile.strategies])
+    return np.split(arrived, ends[:-1], axis=1)
+
+
+def _success_masks(
+    spec: GameSpec, profile: StrategyProfile, arrived: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Success masks, (rows x commodities), of one boolean (rows x blocks)
+    arrival matrix per supplier whose columns are its blocks in the profile:
+    entry [r, k] has the bit of every supplier whose block holding k arrived
+    in row r.  Masks stay below 2**MAX_SUPPLIERS, so uint8."""
+    masks = np.zeros((len(spec.commodities), len(arrived[0])), dtype=np.uint8)
+    for gi, (strat, own) in enumerate(zip(profile.strategies, arrived)):
+        bits = own.view(np.uint8) << gi
+        for c, block in enumerate(strat.blocks):
+            for k in block:
+                masks[spec.k_index(k)] |= bits[:, c]
     return masks.T
 
 
@@ -317,7 +326,7 @@ def _table_product(
 ) -> np.ndarray:
     """Per row, weights times the product over k of tables[k] at mask [r, k]."""
     for ki, table in enumerate(tables):
-        weights = weights * table[masks[:, ki]]
+        weights = weights * np.take(table, masks[:, ki])
     return weights
 
 
@@ -521,7 +530,7 @@ def conditional_block_rows(
     free = [col for col in range(total) if col not in (first + i, first + j)]
     arrived = np.zeros((1 << len(free), total), dtype=bool)
     arrived[:, free] = _arrival_rows(np.arange(len(arrived)), len(free))
-    masks = _success_masks(spec, profile, arrived)
+    masks = _success_masks(spec, profile, _by_supplier(profile, arrived))
     tables, lcms = _table_arrays(spec, hi)
     hbit = 1 << hi
     block_i = [spec.k_index(k) for k in strat.blocks[i]]

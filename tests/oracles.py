@@ -3,12 +3,15 @@
 Almost everything here works on plain dicts keyed by frozensets of element
 names and enumerates coin outcomes literally, one coin at a time.  The one
 exception is `contract`, the element-elimination recursion for the coupled
-product, which works on mask-indexed lists.  None of it shares code with
-the package under test: when a library value and an oracle value agree,
-they agree for two different reasons.
+product, which works on mask-indexed lists; and the sampling references at
+the end, which draw their coins with numpy in one piece.  None of it shares
+code with the package under test: when a library value and an oracle value
+agree, they agree for two different reasons.
 """
 
 from itertools import chain, combinations, product
+
+import numpy as np
 
 
 def powerset(labels):
@@ -252,3 +255,59 @@ def conditional_game_payoffs(blocks, p_of, payoff, player, i, j, fixed_bits):
     )
     merged = q * value(0, 0) + ph * value(1, 1)
     return separate, merged
+
+
+# -- sampling -----------------------------------------------------------------
+
+
+def _one_piece_generator(seed):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def _sample_stats(vals):
+    """(mean, standard error) of a sample, as plain numpy computes them."""
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
+
+
+def sampled_payoff(spec, profile, player, samples, seed):
+    """(mean, stderr) of `player`'s product payoff over `samples` draws.
+
+    One generator, one (samples x blocks) uniform matrix per supplier in
+    supplier order, all drawn in one piece; a block arrives where its
+    uniform is below the supplier's coin.  Success sets are written per
+    commodity as supplier bit sums, then the payoff tables are read at them
+    commodity by commodity.
+    """
+    rng = _one_piece_generator(seed)
+    succeeded = {k: np.zeros(samples, dtype=np.int64) for k in spec.commodities}
+    for bit, (coin, strat) in enumerate(zip(spec.p.p, profile.strategies)):
+        arrived = rng.random((samples, len(strat.blocks))) < float(coin)
+        for col, block in enumerate(strat.blocks):
+            for k in block:
+                succeeded[k] += np.where(arrived[:, col], 1 << bit, 0)
+    who = spec.suppliers.index(player)
+    vals = np.ones(samples)
+    for k, row in zip(spec.commodities, spec.payoffs):
+        vals = vals * np.array([float(v) for v in row[who].values])[succeeded[k]]
+    return _sample_stats(vals)
+
+
+def sampled_convolution(f, g, p, coupled, samples, seed):
+    """(mean, stderr) of f(S1) g(S2) over `samples` coupled-pair draws.
+
+    One generator draws two (samples x n) uniform matrices in one piece.
+    S1 holds the elements whose matrix-one coin came up; S2 reads matrix
+    one on the coupled elements and matrix two elsewhere.
+    """
+    rng = _one_piece_generator(seed)
+    n = f.ground.n
+    coins = np.array([float(x) for x in p.p])
+    draws = [rng.random((samples, n)) < coins for _ in range(2)]
+    s1 = np.zeros(samples, dtype=np.int64)
+    s2 = np.zeros(samples, dtype=np.int64)
+    for i in range(n):
+        s1 += np.where(draws[0][:, i], 1 << i, 0)
+        s2 += np.where(draws[0 if coupled >> i & 1 else 1][:, i], 1 << i, 0)
+    fv = np.array([float(v) for v in f.values])
+    gv = np.array([float(v) for v in g.values])
+    return _sample_stats(fv[s1] * gv[s2])

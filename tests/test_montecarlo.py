@@ -2,9 +2,11 @@
 and the exact-linearity of power-of-two payoff scaling."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
 from riskpool.convolution import convolve
@@ -17,7 +19,13 @@ from riskpool.montecarlo import (
     estimate_payoff,
     generator,
 )
-from riskpool.partition_game import GameSpec, expected_payoff, scaled_spec
+from riskpool.partition_game import (
+    _SLICE_ROWS,
+    MAX_TOTAL_BLOCKS,
+    GameSpec,
+    expected_payoff,
+    scaled_spec,
+)
 
 F = Fraction
 
@@ -157,7 +165,7 @@ def test_general_scaling_is_linear_within_tolerance():
 def test_sample_success_respects_block_structure():
     spec = _simple_spec()
     profile = spec.coarse_profile()
-    masks = _sample_masks(spec, profile, 200, generator(3))
+    masks = np.concatenate([m for _, m in _sample_masks(spec, profile, 200, 3)])
     assert masks.shape == (200, len(spec.commodities))
     # one shipment carries both commodities: masks agree
     assert (masks[:, 0] == masks[:, 1]).all()
@@ -168,7 +176,8 @@ def test_sample_success_frequencies_are_sane():
     spec = _simple_spec(p=F(3, 4))
     profile = spec.finest_profile()
     trials = 4000
-    hits = int((_sample_masks(spec, profile, trials, generator(4))[:, 0] & 1).sum())
+    masks = np.concatenate([m for _, m in _sample_masks(spec, profile, trials, 4)])
+    hits = int((masks[:, 0] & 1).sum())
     # expect about 3000; a binomial 6-sigma band keeps this deterministic test safe
     sigma = (trials * 0.75 * 0.25) ** 0.5
     assert abs(hits - trials * 0.75) < 6 * sigma
@@ -199,3 +208,79 @@ def test_seeded_streams_are_pinned():
     for h, (mean, stderr) in pinned.items():
         est = estimate_payoff(spec, profile, h, 5000, 11)
         assert (est.mean, est.stderr) == (mean, stderr)
+
+
+def _six_supplier_spec(rng):
+    """Six suppliers, the most a spec takes, over four commodities: s1 owns
+    every commodity and s2 none, so its strategy has zero blocks."""
+    g = GroundSet([f"s{i}" for i in range(1, 7)])
+    ks = ["k1", "k2", "k3", "k4"]
+    supply = {"s1": ks, "s2": []}
+    supply.update({h: [k for k in ks if rng.random() < 0.6] for h in g.labels[2:]})
+    payoffs = {
+        k: {h: random_increasing(rng, g, rng.randint(1, 6), exact=True) for h in g.labels}
+        for k in ks
+    }
+    p = CoinVector(g, (F(1, 3), F(1, 2), F(3, 4), F(2, 5), F(1, 4), F(5, 6)))
+    return GameSpec(ks, supply, p, payoffs)
+
+
+SLICE_EDGE_SAMPLES = (2, 3, _SLICE_ROWS - 1, _SLICE_ROWS, _SLICE_ROWS + 1, 2 * _SLICE_ROWS + 1)
+
+
+@pytest.mark.parametrize("samples", SLICE_EDGE_SAMPLES)
+def test_sliced_estimates_equal_the_one_piece_draw(samples):
+    # Each supplier's coins come from its own offset stream, slice by slice;
+    # the oracle draws every matrix in one piece from one generator.
+    rng = random.Random(samples)
+    six = _six_supplier_spec(rng)
+    for spec in (six, _simple_spec(F(2, 3)), random_game_spec(rng)):
+        profiles = (spec.coarse_profile(), spec.finest_profile(), random_profile(rng, spec))
+        for profile in profiles:
+            h = rng.choice(spec.suppliers)
+            seed = rng.randrange(1 << 32)
+            est = estimate_payoff(spec, profile, h, samples, seed)
+            assert (est.mean, est.stderr) == oracles.sampled_payoff(
+                spec, profile, h, samples, seed
+            )
+    # s2 draws no coin, yet every later supplier's stream starts where the
+    # one-piece draw puts it.
+    assert len(six.finest_profile().strategies[1].blocks) == 0
+    for n in (0, 1, 4):
+        g = GroundSet([f"x{i}" for i in range(n)])
+        f = random_increasing(rng, g, 5)
+        gg = random_increasing(rng, g, 5, exact=True)
+        p = random_coin_vector(rng, g)
+        for coupled in {0, g.full, rng.randrange(1 << n)}:
+            seed = rng.randrange(1 << 32)
+            est = estimate_convolution(f, gg, p, coupled, samples, seed)
+            assert (est.mean, est.stderr) == oracles.sampled_convolution(
+                f, gg, p, coupled, samples, seed
+            )
+
+
+def _finest_spec(owned):
+    """Suppliers owning the first owned[i] of max(owned) commodities."""
+    g = GroundSet([f"h{i}" for i in range(len(owned))])
+    ks = [f"k{c}" for c in range(max(owned))]
+    up = SetFunction(g, tuple(1.0 + bin(m).count("1") for m in g.subsets()))
+    p = CoinVector(g, tuple(0.5 + 0.05 * i for i in range(g.n)))
+    return GameSpec(ks, dict(zip(g.labels, (ks[:n] for n in owned))), p, dict.fromkeys(ks, up))
+
+
+@pytest.mark.parametrize("owned", [(3, 3, 3, 3), (8, 8, 6)])
+def test_estimate_memory_is_bounded_in_the_sample_count(owned):
+    # One slice of coins is held at a time: the peak is the one values array
+    # (8 MB at 10**6 samples) and the spread that np.std takes of it, not
+    # samples x blocks uniforms (96 MB at 12 blocks).
+    spec = _finest_spec(owned)
+    profile = spec.finest_profile()
+    assert sum(len(s.blocks) for s in profile.strategies) in (12, MAX_TOTAL_BLOCKS)
+    estimate_payoff(spec, profile, "h0", 1000, 0)
+    tracemalloc.start()
+    try:
+        estimate_payoff(spec, profile, "h0", 10**6, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 10**6
