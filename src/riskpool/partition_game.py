@@ -278,31 +278,31 @@ def _arrival_rows(rows: np.ndarray, width: int) -> np.ndarray:
     return (rows[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(bool)
 
 
+def _block_columns(spec: GameSpec, profile: StrategyProfile) -> list[int]:
+    """Each supplier's first column when the profile's blocks are numbered
+    supplier by supplier, then the total number of blocks, after checking
+    the profile and the cap on exact enumeration."""
+    _validate_profile(spec, profile)
+    cols = list(itertools.accumulate((len(s.blocks) for s in profile.strategies), initial=0))
+    if cols[-1] > MAX_TOTAL_BLOCKS:
+        raise ValueError(f"exact enumeration is limited to {MAX_TOTAL_BLOCKS} shipment blocks")
+    return cols
+
+
 def _pattern_masks(
-    spec: GameSpec, base: StrategyProfile
+    spec: GameSpec, base: StrategyProfile, cols: list[int]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """All 2**blocks block-arrival patterns of base with their success masks.
 
-    Blocks are numbered supplier by supplier, and pattern r has block j
-    arrived iff bit blocks-1-j of r is set: itertools.product order.  The
-    profile is checked at once; then slices of at most _SLICE_ROWS patterns
-    come as (pattern numbers, _success_masks of their arrival rows).
+    cols is _block_columns(spec, base), and pattern r has block j arrived
+    iff bit blocks-1-j of r is set: itertools.product order.  Slices of at
+    most _SLICE_ROWS patterns come as (pattern numbers, _success_masks of
+    their arrival rows).
     """
-    _validate_profile(spec, base)
-    total = sum(len(s.blocks) for s in base.strategies)
-    if total > MAX_TOTAL_BLOCKS:
-        raise ValueError(f"exact enumeration is limited to {MAX_TOTAL_BLOCKS} shipment blocks")
-    starts = range(0, 1 << total, _SLICE_ROWS)
-    rows = (np.arange(start, min(1 << total, start + _SLICE_ROWS)) for start in starts)
-    return (
-        (r, _success_masks(spec, base, _by_supplier(base, _arrival_rows(r, total)))) for r in rows
-    )
-
-
-def _by_supplier(profile: StrategyProfile, arrived: np.ndarray) -> list[np.ndarray]:
-    """A (rows x blocks) arrival matrix split into one view per supplier."""
-    ends = np.cumsum([len(s.blocks) for s in profile.strategies])
-    return np.split(arrived, ends[:-1], axis=1)
+    total = cols[-1]
+    for start in range(0, 1 << total, _SLICE_ROWS):
+        r = np.arange(start, min(1 << total, start + _SLICE_ROWS))
+        yield r, _success_masks(spec, base, np.split(_arrival_rows(r, total), cols[1:-1], axis=1))
 
 
 def _success_masks(
@@ -381,7 +381,7 @@ def _build_payoff_arrays(
     for ph, base, lst in zip(spec.p.p, finest.strategies, lists):
         laws.append(np.array([_strategy_law(s, base, ph, exact) for s in lst]))
         denom *= coin_ratio(ph, exact)[1] ** len(base.blocks)
-    masks = np.concatenate([m for _, m in _pattern_masks(spec, finest)])
+    masks = np.concatenate([m for _, m in _pattern_masks(spec, finest, _block_columns(spec, finest))])
     arrays = []
     for hi in range(1 if spec.symmetric else len(spec.suppliers)):
         tables, lcms = _table_arrays(spec, hi)
@@ -418,17 +418,15 @@ def expected_payoff(spec: GameSpec, profile: StrategyProfile, h: str) -> Value:
         else:
             return arrays[hi].item(cell)
     exact = spec.exact
-    patterns = _pattern_masks(spec, profile)
+    cols = _block_columns(spec, profile)
     tables, scales = _table_arrays(spec, hi)  # then one scale per law
-    low = sum(len(s.blocks) for s in profile.strategies)
     laws = []  # per supplier: its law, where its bits sit, and their mask
-    for ph, strat in zip(spec.p.p, profile.strategies):
+    for ph, strat, end in zip(spec.p.p, profile.strategies, cols[1:]):
         nb = len(strat.blocks)
-        low -= nb
-        laws.append((_strategy_law(strat, strat, ph, exact), low, (1 << nb) - 1))
+        laws.append((_strategy_law(strat, strat, ph, exact), cols[-1] - end, (1 << nb) - 1))
         scales.append(coin_ratio(ph, exact)[1] ** nb)
     parts = []
-    for r, masks in patterns:
+    for r, masks in _pattern_masks(spec, profile, cols):
         weights = 1
         for law, low, mask in laws:
             weights = weights * law[(r >> low) & mask]
@@ -523,14 +521,11 @@ def conditional_block_rows(
     1 and repeat conditional_block_factors' order of operations.
     """
     hi, strat = _block_pair(spec, profile, h, i, j)
-    total = sum(len(s.blocks) for s in profile.strategies)
-    if total > MAX_TOTAL_BLOCKS:
-        raise ValueError(f"exact enumeration is limited to {MAX_TOTAL_BLOCKS} shipment blocks")
-    first = sum(len(s.blocks) for s in profile.strategies[:hi])
-    free = [col for col in range(total) if col not in (first + i, first + j)]
-    arrived = np.zeros((1 << len(free), total), dtype=bool)
+    cols = _block_columns(spec, profile)
+    free = [col for col in range(cols[-1]) if col not in (cols[hi] + i, cols[hi] + j)]
+    arrived = np.zeros((1 << len(free), cols[-1]), dtype=bool)
     arrived[:, free] = _arrival_rows(np.arange(len(arrived)), len(free))
-    masks = _success_masks(spec, profile, _by_supplier(profile, arrived))
+    masks = _success_masks(spec, profile, np.split(arrived, cols[1:-1], axis=1))
     tables, lcms = _table_arrays(spec, hi)
     hbit = 1 << hi
     block_i = [spec.k_index(k) for k in strat.blocks[i]]

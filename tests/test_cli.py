@@ -122,11 +122,33 @@ def test_convolve_report_round_trips_against_library(tmp_path, capsys):
         assert parse_value(raw) == table.values[mask]
 
 
+# Three suppliers, two of them splitting their supply, sampled over one row
+# more than a slice holds.
+SIMULATE_CONFIG = (
+    b'{"kind": "game", "mode": "float", "commodities": ["oil", "gas", "coal"], '
+    b'"suppliers": ["h1", "h2", "h3"], "p": {"h1": 0.5, "h2": 0.75, "h3": 0.3}, '
+    b'"supply": {"h1": ["oil", "gas", "coal"], "h2": ["oil", "coal"], "h3": ["gas"]}, '
+    b'"payoffs": {"oil": {"weights": {"": 1, "h1": 2, "h2": 1}}, "gas": {"weights": {"": 1, "h1,h3": 3}}, '
+    b'"coal": {"weights": {"h2": 1, "h1,h3": 2}}}, '
+    b'"profile": {"h1": [["oil", "coal"], ["gas"]], "h2": [["oil"], ["coal"]], "h3": [["gas"]]}}'
+)
+
+
+@pytest.mark.filterwarnings("error")
 def test_reports_are_byte_deterministic(tmp_path, capsys):
-    cfg = _write(tmp_path, "conv.json", CONV_CONFIG)
-    _, out1, _ = _run(capsys, ["convolve", "--config", cfg])
-    _, out2, _ = _run(capsys, ["convolve", "--config", cfg])
-    assert out1 == out2
+    sim = tmp_path / "simulate.json"
+    sim.write_bytes(SIMULATE_CONFIG)
+    for argv in (
+        ["convolve", "--config", _write(tmp_path, "conv.json", CONV_CONFIG)],
+        ["game", "simulate", "--config", str(sim), "--samples", "65537", "--seed", "9"],
+    ):
+        runs = []
+        for run in "ab":
+            out = tmp_path / f"{argv[0]}-{run}"
+            code, stdout, _ = _run(capsys, [*argv, "--out", str(out)])
+            runs.append((code, stdout, (out / "report.json").read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
 
 
 # Label lists whose sorted order is not their ground order: reversed, and
@@ -485,20 +507,43 @@ def test_game_simulate_reports_a_miss(tmp_path, capsys):
 # -- verify ---------------------------------------------------------------------
 
 
+def _finite_json(text):
+    """The JSON value of text, refusing the NaN and Infinity that json.loads
+    would otherwise read."""
+    def refuse(constant):
+        raise ValueError(f"non-finite {constant} in report")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# (max_ground, samples, seed) and the flags that ask for them: verify's
+# defaults need none.
+VERIFY_RUNS = {
+    (3, 2000, 1): ["--max-ground", "3", "--samples", "2000", "--seed", "1"],
+    (5, 20000, 0): [],
+    (1, 2000, 3): ["--max-ground", "1", "--samples", "2000", "--seed", "3"],
+}
+
+
+@pytest.mark.filterwarnings("error")
 def test_verify_small_run_passes(tmp_path, capsys):
-    code = main(
-        ["verify", "--max-ground", "3", "--samples", "2000", "--seed", "1"]
-    )
-    captured = capsys.readouterr()
-    assert code == 0
-    report = json.loads(captured.out)
-    assert report["verdict"] == "pass"
-    names = [c["name"] for c in report["checks"]]
-    assert len(names) == len(set(names)) == 9
-    assert all(c["ok"] for c in report["checks"])
-    assert captured.err.count(": ok") == 9
+    for (max_ground, samples, seed), flags in VERIFY_RUNS.items():
+        out = tmp_path / f"verify-{seed}"
+        code = main(["verify", *flags, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0
+        text = (out / "report.json").read_text(encoding="utf-8")
+        assert text == captured.out
+        report = _finite_json(text)
+        assert (report["max_ground"], report["samples"], report["seed"]) == (max_ground, samples, seed)
+        assert report["verdict"] == "pass"
+        names = [c["name"] for c in report["checks"]]
+        assert len(names) == len(set(names)) == 9
+        assert all(c["ok"] for c in report["checks"])
+        assert captured.err.count(": ok") == 9
 
 
+@pytest.mark.filterwarnings("error")
 def test_verify_max_ground_caps_every_convolution_sweep(monkeypatch, capsys):
     # Every table that verify convolves, samples or sums by brute force,
     # the Monte Carlo sweep's included, lives on at most 2 elements.
@@ -1219,6 +1264,17 @@ def test_any_one_node_changed_gives_a_report_or_a_config_error(tmp_path, capsys,
     assert code in (0, 2)
 
 
+def test_a_key_error_in_a_command_is_not_a_refusal(monkeypatch, tmp_path):
+    # main refuses a ValueError with exit 2.  src/ raises no KeyError
+    # (test_package), so one that reaches main is a bug and must surface.
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "_cmd_convolve", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["convolve", "--config", _write(tmp_path, "conv.json", CONV_CONFIG)])
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["convolve"])  # --config is required
@@ -1228,26 +1284,34 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+# A convolution config naming one element "é", in its UTF-8 bytes.
+UTF8_CONFIG = (b'{"kind": "convolution", "ground": ["\xc3\xa9"], "p": {"\xc3\xa9": "1/2"}, '
+               b'"f": {"constant": 1}, "g": {"constant": 2}}')
+
+
 @pytest.mark.parametrize("escaped", [False, True])
 def test_config_and_outputs_are_utf8_in_any_locale(tmp_path, escaped):
     # Under the C locale Python's default text encoding is ASCII.  A config
     # that escapes the name reads as ASCII; its outputs must still be UTF-8.
-    cfg = dict(CONV_CONFIG, ground=["é"], p={"é": "1/2"}, f={"constant": 1}, g={"constant": 2})
+    # Each config runs in its default float mode and in exact mode.
     path = tmp_path / "conv.json"
-    path.write_bytes(json.dumps(cfg, ensure_ascii=escaped).encode("utf-8"))
+    path.write_bytes(json.dumps(json.loads(UTF8_CONFIG), ensure_ascii=escaped).encode("utf-8"))
+    assert escaped or path.read_bytes() == UTF8_CONFIG
     env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     env.pop("PYTHONIOENCODING", None)
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "riskpool.cli", "convolve", "--config", str(path), "--out", str(out), "--csv"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["ground"] == ["é"]
-    rows = (out / "convolution.csv").read_bytes().decode("utf-8").splitlines()
-    assert rows == ["subset,value", ",2", "é,2"]
+    for flags, value in (([], "2.0"), (["--mode", "exact"], "2")):
+        out = tmp_path / f"out{len(flags)}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskpool.cli", "convolve", "--config", str(path), *flags,
+             "--out", str(out), "--csv"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ground"] == ["é"]
+        rows = (out / "convolution.csv").read_bytes().decode("utf-8").splitlines()
+        assert rows == ["subset,value", f",{value}", f"é,{value}"]
 
 
 def test_console_entry_point(tmp_path):
@@ -1261,12 +1325,10 @@ def test_console_entry_point(tmp_path):
     assert json.loads(proc.stdout)["verdict"] == "pass"
 
 
-# The refusals of CI's "Console script" step, as the same bytes and flags run
-# through `python -m riskpool.cli` ("@" is the config's path): each exits 2 with the first stderr line
-# (and for a usage error the last one) that the step greps for.  The step's
-# C-locale UTF-8 run is test_config_and_outputs_are_utf8_in_any_locale.
-UTF8_CONFIG = (b'{"kind": "convolution", "ground": ["\xc3\xa9"], "p": {"\xc3\xa9": "1/2"}, '
-               b'"f": {"constant": 1}, "g": {"constant": 2}}')
+# Refusals of the console entry point, config bytes and flags run through
+# `python -m riskpool.cli` ("@" is the config's path): each exits 2 with
+# nothing on stdout and a first stderr line (for a usage error also a last
+# one) that matches.
 CONSOLE_REFUSALS = {
     "latin1": (UTF8_CONFIG.replace(b"\xc3\xa9", b"\xe9"), ["convolve", "--config", "@"], "^config error: ", None),
     "unknown-commodity": (

@@ -1,5 +1,6 @@
 """The package as a whole: its public names and methods, its imports, its
-README examples, and its runtime dependencies."""
+README examples, its runtime dependencies, the exceptions it raises, and
+the independence of the test oracles."""
 
 import ast
 import inspect
@@ -16,6 +17,7 @@ from riskpool.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "riskpool"
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def _modules():
@@ -129,16 +131,37 @@ def test_readme_configs_run(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
 
+def _imported_tops(path: pathlib.Path) -> set[str]:
+    """The top-level package of every absolute import in the module."""
+    tops = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            tops |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+    return tops
+
+
 def test_runtime_imports_are_stdlib_or_numpy():
     allowed = set(sys.stdlib_module_names) | {"numpy", "riskpool"}
-    found = []
+    found = [(path.name, top) for path in _modules() for top in sorted(_imported_tops(path) - allowed)]
+    assert found == []
+
+
+def test_oracles_import_nothing_from_the_package():
+    # An oracle that shared code with the package would agree with it for
+    # the same reason, and so check nothing.
+    assert "riskpool" not in _imported_tops(ORACLES)
+
+
+def test_package_raises_no_key_error():
+    # cli.main refuses a ValueError with exit 2 and lets anything else
+    # through, so an unknown name must be a ValueError.
+    raised = []
     for path in _modules():
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                tops = [alias.name.split(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                tops = [node.module.split(".")[0]]
-            else:
-                continue
-            found += [(path.name, top) for top in tops if top not in allowed]
-    assert found == []
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "KeyError":
+                    raised.append(f"{path.name}:{node.lineno}")
+    assert raised == []
