@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -102,8 +103,9 @@ def _subset_keys(ground: GroundSet) -> list[str]:
     return placed
 
 
-def _table_json(fn: SetFunction) -> dict[str, object]:
-    return dict(zip(_subset_keys(fn.ground), map(format_value, fn.values)))
+def _table_json(fn: SetFunction, keys: Sequence[str] | None = None) -> dict[str, object]:
+    """fn keyed by subset; keys, when given, are its ground set's _subset_keys."""
+    return dict(zip(_subset_keys(fn.ground) if keys is None else keys, map(format_value, fn.values)))
 
 
 def _parse_key(ground: GroundSet, key: str, path: str) -> int:
@@ -176,7 +178,8 @@ def _coins(cfg: Mapping, ground: GroundSet, mode: str) -> CoinVector:
         raise ConfigError(f"p: {exc}") from None
 
 
-def _setfunction(obj: object, ground: GroundSet, mode: str, path: str) -> SetFunction:
+def _setfunction(obj: object, ground: GroundSet, mode: str, path: str, keys: Sequence[str]) -> SetFunction:
+    """The set function a config object gives; keys are ground's _subset_keys."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     forms = [k for k in FORMS if k in obj]
@@ -189,19 +192,19 @@ def _setfunction(obj: object, ground: GroundSet, mode: str, path: str) -> SetFun
     if not isinstance(body, dict):
         raise ConfigError(f"{path}.{form}: expected an object keyed by subsets")
     entries: dict[int, Value] = {}
-    keys: dict[int, str] = {}
+    named: dict[int, str] = {}
     # A table names every subset, so its keys are looked up in the report's
     # spelling; any other spelling, and every sparse weights key, is parsed.
-    spelled = {k: m for m, k in enumerate(_subset_keys(ground))} if form == "table" else {}
+    spelled = {k: m for m, k in enumerate(keys)} if form == "table" else {}
     for key, v in body.items():
         mask = spelled.get(key)
         if mask is None:
             mask = _parse_key(ground, key, f"{path}.{form}")
-        if mask in keys:
+        if mask in named:
             raise ConfigError(
-                f"{path}.{form}: keys {keys[mask]!r} and {key!r} name the same subset"
+                f"{path}.{form}: keys {named[mask]!r} and {key!r} name the same subset"
             )
-        keys[mask] = key
+        named[mask] = key
         entries[mask] = _value(v, mode, f"{path}.{form}.{key!r}")
     if form == "weights":
         try:
@@ -244,13 +247,13 @@ def _family(obj: object, ground: GroundSet, path: str) -> SetFunction:
     return family
 
 
-def _voting_rule(obj: object, ground: GroundSet, mode: str, path: str) -> SetFunction:
+def _voting_rule(obj: object, ground: GroundSet, mode: str, path: str, keys: Sequence[str]) -> SetFunction:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     if ("weights" in obj) == ("table" in obj):
         raise ConfigError(f"{path}: give exactly one of 'weights' (with 'quota') or 'table'")
     if "table" in obj:
-        return _setfunction({"table": obj["table"]}, ground, mode, path)
+        return _setfunction({"table": obj["table"]}, ground, mode, path, keys)
     weights = _per_element(obj["weights"], ground, mode, f"{path}.weights", "weight")
     if "quota" not in obj:
         raise ConfigError(f"{path}: voting weights need a 'quota'")
@@ -322,8 +325,9 @@ def _cmd_convolve(args) -> int:
     cfg, mode = _load_config(args.config, args.mode, ("convolution",))
     ground = _ground(cfg, "ground", args.max_ground)
     p = _coins(cfg, ground, mode)
-    f = _setfunction(cfg.get("f"), ground, mode, "f")
-    g = _setfunction(cfg.get("g"), ground, mode, "g")
+    keys = _subset_keys(ground)
+    f = _setfunction(cfg.get("f"), ground, mode, "f", keys)
+    g = _setfunction(cfg.get("g"), ground, mode, "g", keys)
     table = convolve(f, g, p)
     f_inc = is_increasing(f)
     g_inc = is_increasing(g)
@@ -346,7 +350,7 @@ def _cmd_convolve(args) -> int:
         "kind": "convolution",
         "mode": mode,
         "ground": list(ground.labels),
-        "table": _table_json(table),
+        "table": _table_json(table, keys),
         "f_increasing": f_inc,
         "g_increasing": g_inc,
         "result_increasing": result_inc,
@@ -366,7 +370,9 @@ def _cmd_convolve(args) -> int:
 # ---------------------------------------------------------------- scenario
 
 
-def _production(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> TwoInputProduction:
+def _production(
+    cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector, keys: Sequence[str]
+) -> TwoInputProduction:
     return TwoInputProduction(
         _per_element(cfg.get("x"), ground, mode, "x", "amount"),
         _per_element(cfg.get("y"), ground, mode, "y", "amount"),
@@ -376,7 +382,9 @@ def _production(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> Tw
     )
 
 
-def _military(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> MilitaryScenario:
+def _military(
+    cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector, keys: Sequence[str]
+) -> MilitaryScenario:
     return MilitaryScenario(
         c_red=_family(cfg.get("red"), ground, "red"),
         c_blue=_family(cfg.get("blue"), ground, "blue"),
@@ -384,10 +392,12 @@ def _military(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> Mili
     )
 
 
-def _merger(cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector) -> MergerScenario:
+def _merger(
+    cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector, keys: Sequence[str]
+) -> MergerScenario:
     return MergerScenario(
-        f_a=_voting_rule(cfg.get("a"), ground, mode, "a"),
-        f_b=_voting_rule(cfg.get("b"), ground, mode, "b"),
+        f_a=_voting_rule(cfg.get("a"), ground, mode, "a", keys),
+        f_b=_voting_rule(cfg.get("b"), ground, mode, "b", keys),
         p=p,
     )
 
@@ -429,7 +439,8 @@ def _check_scenario(check, sc) -> tuple[dict, list[int], dict]:
     return tables, best, checks
 
 
-# kind -> (ground-set field, config parser, scenario check)
+# kind -> (ground-set field, config parser, scenario check); a parser is given
+# the ground set's _subset_keys, which only a merger's table-form rule reads.
 SCENARIOS = {
     "production": ("suppliers", _production, _check_production),
     "military": ("sites", _military, _check_military),
@@ -443,12 +454,13 @@ def _cmd_scenario(args) -> int:
     field, parse, check = SCENARIOS[kind]
     ground = _ground(cfg, field, args.max_ground)
     p = _coins(cfg, ground, mode)
+    keys = _subset_keys(ground)
     try:
-        sc = parse(cfg, ground, mode, p)
+        sc = parse(cfg, ground, mode, p, keys)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     tables, best, checks = _check_scenario(check, sc)
-    tables = {name: _table_json(t) for name, t in tables.items()}
+    tables = {name: _table_json(t, keys) for name, t in tables.items()}
     report = {
         "kind": kind,
         "mode": mode,
@@ -477,14 +489,15 @@ def _game_spec(cfg: Mapping, mode: str, limit: int | None) -> GameSpec:
     if not isinstance(payoffs_obj, dict):
         raise ConfigError("payoffs: expected an object keyed by commodity")
     payoffs: dict[str, object] = {}
+    keys = _subset_keys(hground)
     for k, entry in payoffs_obj.items():
         if not isinstance(entry, dict):
             raise ConfigError(f"payoffs.{k}: expected an object")
         if any(key in entry for key in FORMS):
-            payoffs[k] = _setfunction(entry, hground, mode, f"payoffs.{k}")
+            payoffs[k] = _setfunction(entry, hground, mode, f"payoffs.{k}", keys)
         else:
             payoffs[k] = {
-                h: _setfunction(sub, hground, mode, f"payoffs.{k}.{h}")
+                h: _setfunction(sub, hground, mode, f"payoffs.{k}.{h}", keys)
                 for h, sub in entry.items()
             }
     try:
@@ -950,6 +963,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser.  Each command is looked up when it runs, not bound
+    here, because main keeps one parser for the whole process."""
     parser = argparse.ArgumentParser(
         prog="riskpool",
         description="Exact risk-pooling analysis: convolution tables, decision scenarios, partition games.",
@@ -959,38 +974,46 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("convolve", help="full convolution table with property verdicts")
     _add_common(p_conv)
     p_conv.add_argument("--csv", action="store_true", help="also export tables as CSV")
-    p_conv.set_defaults(func=_cmd_convolve)
+    p_conv.set_defaults(func=lambda args: _cmd_convolve(args))
 
     p_sc = sub.add_parser("scenario", help="payoff table, optimal strategies, monotonicity verdicts")
     _add_common(p_sc)
     p_sc.add_argument("--csv", action="store_true", help="also export tables as CSV")
-    p_sc.set_defaults(func=_cmd_scenario)
+    p_sc.set_defaults(func=lambda args: _cmd_scenario(args))
 
     p_game = sub.add_parser("game", help="partition-game analysis")
     game_sub = p_game.add_subparsers(dest="game_command", required=True)
 
     p_an = game_sub.add_parser("analyze", help="payoff tables, dominance, Nash, ex-post sweep")
     _add_common(p_an)
-    p_an.set_defaults(func=_cmd_game_analyze)
+    p_an.set_defaults(func=lambda args: _cmd_game_analyze(args))
 
     p_sim = game_sub.add_parser("simulate", help="Monte Carlo estimates against exact payoffs")
     _add_common(p_sim)
     p_sim.add_argument("--samples", type=_at_least(2), default=100000, help="sample count per player")
     p_sim.add_argument("--seed", type=_at_least(0), default=0, help="base seed")
-    p_sim.set_defaults(func=_cmd_game_simulate)
+    p_sim.set_defaults(func=lambda args: _cmd_game_simulate(args))
 
     p_ver = sub.add_parser("verify", help="run the property suite at configured sizes")
     p_ver.add_argument("--out", help="directory for report.json")
     p_ver.add_argument("--max-ground", type=_at_least(1), default=5, help="largest ground set in sweeps")
     p_ver.add_argument("--seed", type=_at_least(0), default=0, help="base seed for the sweeps")
     p_ver.add_argument("--samples", type=_at_least(2), default=20000, help="Monte Carlo samples per check")
-    p_ver.set_defaults(func=_cmd_verify)
+    p_ver.set_defaults(func=lambda args: _cmd_verify(args))
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built at the first main call and reused: a
+    parse starts a fresh Namespace and no default is mutable, so calls
+    share no state."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "csv", False) and args.out is None:
         parser.error("--csv needs --out")

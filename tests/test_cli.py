@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, report schemas, determinism, and
 round-trips between reports and the library."""
 
+import argparse
 import copy
 import json
 import math
@@ -1362,3 +1363,76 @@ def test_console_script_refusals(tmp_path, name):
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert re.search(first, lines[0]), lines[0]
     assert last is None or re.search(last, lines[-1]), lines[-1]
+
+
+def test_main_builds_its_parser_once_and_looks_up_commands_when_called(monkeypatch, tmp_path, capsys):
+    # main keeps the parser of its first call: a later call builds no
+    # ArgumentParser, and still runs the command the module holds then.
+    parsers, builds = [], []
+    init, build = argparse.ArgumentParser.__init__, cli.build_parser
+
+    def counted_init(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    cfg = _write(tmp_path, "conv.json", CONV_CONFIG)
+    first = _run(capsys, ["convolve", "--config", cfg])
+    built = len(parsers)
+    assert first[0] == 0 and built > 0
+    assert _run(capsys, ["convolve", "--config", cfg]) == first
+    assert (len(builds), len(parsers)) == (1, built)
+
+    ran = []
+    monkeypatch.setattr(cli, "_cmd_convolve", lambda args: ran.append(args.config) or 0)
+    assert main(["convolve", "--config", cfg]) == 0
+    assert ran == [cfg]
+    assert (len(builds), len(parsers)) == (1, built)
+
+
+# Calls through one process's main that a parser kept between calls could
+# let leak into each other, in order: a usage error, a flag given and then
+# left to its default (twice), a config error, and every help text.  "@" is
+# the config's path and "@out" the call's --out directory.
+STATELESS_CALLS = [
+    (UTF8_CONFIG, ["convolve", "--config", "@", "--csv"]),
+    (SIMULATE_CONFIG, ["game", "simulate", "--config", "@", "--samples", "2000", "--seed", "9", "--out", "@out"]),
+    (SIMULATE_CONFIG, ["game", "simulate", "--config", "@", "--out", "@out"]),
+    (UTF8_CONFIG, ["convolve", "--config", "@", "--mode", "exact", "--out", "@out", "--csv"]),
+    (UTF8_CONFIG, ["convolve", "--config", "@", "--out", "@out", "--csv"]),
+    (CONSOLE_REFUSALS["bad-mode"][0], ["convolve", "--config", "@"]),
+    *((None, [*command, "--help"]) for command in (
+        [], ["convolve"], ["scenario"], ["game"], ["game", "analyze"], ["game", "simulate"], ["verify"],
+    )),
+]
+
+
+def test_calls_in_one_process_answer_as_fresh_processes(monkeypatch, tmp_path, capsys):
+    # Exit code, stdout, stderr and --out files of each call, through main
+    # in this process and through `python -m riskpool.cli` in a fresh one.
+    # Help text wraps at COLUMNS in both.
+    monkeypatch.setenv("COLUMNS", "80")
+    for idx, (config, argv) in enumerate(STATELESS_CALLS):
+        path = tmp_path / f"c{idx}.json"
+        if config is not None:
+            path.write_bytes(config)
+        answers = []
+        for side in ("main", "fresh"):
+            out = tmp_path / f"out{idx}-{side}"
+            args = [str(path) if a == "@" else str(out) if a == "@out" else a for a in argv]
+            if side == "main":
+                try:
+                    code = main(args)
+                except SystemExit as exc:
+                    code = exc.code
+                stdout, stderr = capsys.readouterr()
+            else:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "riskpool.cli", *args], capture_output=True, text=True
+                )
+                code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else {}
+            answers.append((code, stdout, stderr, files))
+        assert answers[0] == answers[1], argv

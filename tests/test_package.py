@@ -165,3 +165,21 @@ def test_package_raises_no_key_error():
                 if isinstance(exc, ast.Name) and exc.id == "KeyError":
                     raised.append(f"{path.name}:{node.lineno}")
     assert raised == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    # main builds its parser at its first call.  Built at import, it would
+    # add to the start-up of every process, which the benchmark's setup_s
+    # measures, also where no command runs.
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import riskpool.cli\n"
+        "print(len(built))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0"]
