@@ -44,7 +44,7 @@ from .lattice import (
     up_closure,
 )
 from .montecarlo import estimate_convolution, estimate_payoff
-from .numerics import Value, close, close_array, coin_ratio, format_value, geq, geq_array, parse_value
+from .numerics import Value, close, close_array, format_value, geq, geq_array, parse_value
 from .partition_game import (
     GameSpec,
     StrategyProfile,
@@ -103,9 +103,9 @@ def _subset_keys(ground: GroundSet) -> list[str]:
     return placed
 
 
-def _table_json(fn: SetFunction, keys: Sequence[str] | None = None) -> dict[str, object]:
-    """fn keyed by subset; keys, when given, are its ground set's _subset_keys."""
-    return dict(zip(_subset_keys(fn.ground) if keys is None else keys, map(format_value, fn.values)))
+def _table_json(fn: SetFunction, keys: Sequence[str]) -> dict[str, object]:
+    """fn keyed by subset; keys are its ground set's _subset_keys."""
+    return dict(zip(keys, map(format_value, fn.values)))
 
 
 def _parse_key(ground: GroundSet, key: str, path: str) -> int:
@@ -534,24 +534,6 @@ def _profile_key(spec: GameSpec, profile: StrategyProfile) -> str:
     )
 
 
-def _merging_rows(
-    ph: Value, factors: tuple[np.ndarray, ...], scales: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Separate and merged conditional payoffs and p(1-p)(a1-a0)(b1-b0)c
-    of every row of conditional_block_rows, as integers over one common
-    positive scale, returned with them.  Float rows have scale 1 and
-    repeat conditional_payoffs' order of operations."""
-    a0, a1, b0, b1, c = factors
-    win, den = coin_ratio(ph, a0.dtype == object)
-    lose = den - win
-    return (
-        (lose * a0 + win * a1) * (lose * b0 + win * b1) * c,
-        (lose * (a0 * b0) + win * (a1 * b1)) * c * den,
-        win * lose * (a1 - a0) * (b1 - b0) * c,
-        den * den * scales[0] * scales[2] * scales[4],
-    )
-
-
 def _conditioning(
     spec: GameSpec, profile: StrategyProfile, bits: list[bool], h: str, i: int, j: int
 ) -> dict[str, list[bool | None]]:
@@ -578,21 +560,20 @@ def _expost_sweep(spec: GameSpec, profile: StrategyProfile) -> dict:
     profile within EXPOST_BLOCK_CAP blocks."""
     checked = 0
     for hi, h in enumerate(spec.suppliers):
-        ph = spec.p.p[hi]
         for i, j in itertools.combinations(range(len(profile.strategies[hi].blocks)), 2):
-            arrived, factors, scales = conditional_block_rows(spec, profile, h, i, j)
-            sep, merged, identity, scale = _merging_rows(ph, factors, scales)
+            arrived, rows, scales = conditional_block_rows(spec, profile, h, i, j)
+            sep, merged, *_, gain = rows
             mixed = len(arrived) * 2 // 3  # free blocks 1010...: some arrived, some not
             given = _conditioning(spec, profile, arrived[mixed].tolist(), h, i, j)
             scalar = conditional_payoffs(spec, profile, h, i, j, given)
             scalar += conditional_block_factors(spec, profile, h, i, j, given)
-            batch = _row_values(mixed, (sep, merged) + factors, (scale, scale) + scales)
+            batch = _row_values(mixed, rows[:7], scales[:7])
             if not all(map(close, scalar, batch)):
                 raise RuntimeError(f"batched ex-post rows of {h!r} disagree with conditional_payoffs")
-            failed = np.flatnonzero(~geq_array(merged, sep) | ~close_array(merged - sep, identity))
+            failed = np.flatnonzero(~geq_array(merged, sep) | ~close_array(merged - sep, gain))
             if failed.size:
                 row = int(failed[0])
-                sep_value, merged_value = _row_values(row, (sep, merged), (scale, scale))
+                sep_value, merged_value = _row_values(row, rows[:2], scales[:2])
                 return {
                     "checked": checked + row + 1,
                     "holds": False,

@@ -511,14 +511,14 @@ def conditional_block_factors(
 def conditional_block_rows(
     spec: GameSpec, profile: StrategyProfile, h: str, i: int, j: int
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[int, ...]]:
-    """conditional_block_factors at every conditioning at once.
+    """conditional_payoffs and conditional_block_factors at every conditioning.
 
     Returns the boolean (rows x blocks) arrival matrix of the conditionings,
     columns the profile's blocks supplier by supplier: h's blocks i and j
     stay False and the other blocks run through itertools.product order.
-    Then the arrays (a0, a1, b0, b1, c), one entry per row, and their
-    scales: exact factors are integers over them, float factors have scale
-    1 and repeat conditional_block_factors' order of operations.
+    Then the rows (separate, merged, a0, a1, b0, b1, c, gain), with gain
+    p(1-p)(a1-a0)(b1-b0)c, and their scales: exact rows are integers over
+    them, float rows have scale 1 and repeat the scalar order of operations.
     """
     hi, strat = _block_pair(spec, profile, h, i, j)
     cols = _block_columns(spec, profile)
@@ -537,7 +537,7 @@ def conditional_block_rows(
         ones = np.ones(len(arrived), dtype=object if spec.exact else float)
         return _table_product([tables[ki] for ki in indices], own, ones)
 
-    factors = (
+    a0, a1, b0, b1, c = (
         prod(block_i, False), prod(block_i, True),
         prod(block_j, False), prod(block_j, True),
         prod(rest, False),
@@ -545,7 +545,16 @@ def conditional_block_rows(
     scale_i, scale_j, scale_c = (
         math.prod(lcms[ki] for ki in ks) for ks in (block_i, block_j, rest)
     )
-    return arrived, factors, (scale_i, scale_i, scale_j, scale_j, scale_c)
+    win, den = coin_ratio(spec.p.p[hi], spec.exact)
+    lose = den - win
+    scale = den * den * scale_i * scale_j * scale_c
+    rows = (
+        (lose * a0 + win * a1) * (lose * b0 + win * b1) * c,
+        (lose * (a0 * b0) + win * (a1 * b1)) * c * den,
+        a0, a1, b0, b1, c,
+        win * lose * (a1 - a0) * (b1 - b0) * c,
+    )
+    return arrived, rows, (scale, scale, scale_i, scale_i, scale_j, scale_j, scale_c, scale)
 
 
 def conditional_payoffs(

@@ -135,7 +135,6 @@ SIMULATE_CONFIG = (
 )
 
 
-@pytest.mark.filterwarnings("error")
 def test_reports_are_byte_deterministic(tmp_path, capsys):
     sim = tmp_path / "simulate.json"
     sim.write_bytes(SIMULATE_CONFIG)
@@ -341,6 +340,42 @@ def test_merger_scenario_report(tmp_path, capsys):
     assert report["approval_probability"]["u,v"] == "3/4"
 
 
+@pytest.mark.parametrize("kind", ["production", "military", "merger"])
+def test_scenario_report_round_trips_against_library(tmp_path, capsys, kind):
+    # Every printed table, read back as a config table, is the library's,
+    # and every optimal key parses back to one of the library's optima.
+    g = GroundSet(["u", "v"])
+    p = CoinVector(g, (Fraction(1, 2), Fraction(1, 3)))
+    cfg = {"kind": kind, "mode": "exact", "p": {"u": "1/2", "v": "1/3"}}
+    if kind == "production":
+        cfg.update(suppliers=["u", "v"], x={"u": 4, "v": "1/2"}, y={"u": 9, "v": 2}, alpha=1, beta=2)
+        sc = scenarios.TwoInputProduction((4, Fraction(1, 2)), (9, 2), 1, 2, p)
+        objective = scenarios.production_table(sc)
+        tables = {"payoffs": objective}
+    elif kind == "military":
+        cfg.update(sites=["u", "v"], red={"seeds": [["u"], ["v"]]}, blue={"members": [["v"], ["u", "v"]]})
+        sc = scenarios.MilitaryScenario(SetFunction(g, (0, 1, 1, 1)), SetFunction(g, (0, 0, 1, 1)), p)
+        tables = dict(zip(["both_disabled", "neither_disabled", "exactly_one"], scenarios.military_tables(sc)))
+        objective = tables["both_disabled"]
+    else:
+        cfg.update(
+            shareholders=["u", "v"],
+            a={"table": {"": 0, "u": 1, "v": 0, "u,v": 1}},
+            b={"weights": {"u": 1, "v": 2}, "quota": 2},
+        )
+        sc = scenarios.MergerScenario(SetFunction(g, (0, 1, 0, 1)), SetFunction(g, (0, 0, 1, 1)), p)
+        objective = scenarios.merger_table(sc)
+        tables = {"approval_probability": objective}
+    code, out, _ = _run(capsys, ["scenario", "--config", _write(tmp_path, "sc.json", cfg)])
+    assert code == 0
+    report = json.loads(out)
+    keys = cli._subset_keys(g)
+    for name, table in tables.items():
+        assert cli._setfunction({"table": report[name]}, g, "exact", name, keys) == table
+    optimal = [cli._parse_key(g, key, "optimal") for key in report["optimal"]]
+    assert sorted(optimal) == scenarios.optimal_strategies(objective)
+
+
 # -- game -----------------------------------------------------------------------
 
 
@@ -357,6 +392,27 @@ def test_game_analyze_report(tmp_path, capsys):
     assert report["profile_payoffs"] == {"h1": "15/8", "h2": "15/8"}
     assert report["profile_count"] == 2
     assert set(report["payoff_tables"]) == {"h1", "h2"}
+
+
+def test_game_analyze_nash_round_trips_against_library(tmp_path, capsys):
+    # gas pays 1 whoever delivers it, so splitting it from oil is a tie for
+    # both players and all four profiles are equilibria: each printed one
+    # reads back, as a config profile, to find_nash's, in its order.
+    cfg = {k: v for k, v in GAME_CONFIG.items() if k != "profile"}
+    cfg["supply"] = {"h1": ["oil", "gas"], "h2": ["oil", "gas"]}
+    cfg["payoffs"] = dict(GAME_CONFIG["payoffs"], gas={"constant": 1})
+    code, out, _ = _run(capsys, ["game", "analyze", "--config", _write(tmp_path, "game.json", cfg)])
+    assert code == 0
+    g = GroundSet(["h1", "h2"])
+    spec = GameSpec(
+        ["oil", "gas"],
+        cfg["supply"],
+        CoinVector(g, (Fraction(1, 2), Fraction(3, 4))),
+        {"oil": SetFunction(g, (0, 1, 1, 2)), "gas": SetFunction.constant(g, 1)},
+    )
+    nash = partition_game.find_nash(spec)
+    assert len(nash) == 4
+    assert [cli._game_profile({"profile": entry}, spec) for entry in json.loads(out)["nash"]] == nash
 
 
 def test_game_analyze_reports_a_dominance_violation(tmp_path, capsys, monkeypatch):
@@ -444,8 +500,8 @@ def test_expost_sweep_refuses_a_batch_the_scalar_code_contradicts(monkeypatch):
     rows = cli.conditional_block_rows
 
     def skewed(*args):
-        arrived, (a0, *rest), scales = rows(*args)
-        return arrived, (a0 + 1, *rest), scales
+        arrived, (sep, merged, a0, *rest), scales = rows(*args)
+        return arrived, (sep, merged, a0 + 1, *rest), scales
 
     monkeypatch.setattr(cli, "conditional_block_rows", skewed)
     g = GroundSet(["h1"])
@@ -455,6 +511,50 @@ def test_expost_sweep_refuses_a_batch_the_scalar_code_contradicts(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="disagree with conditional_payoffs"):
         cli._expost_sweep(spec, spec.finest_profile())
+
+
+def _gain_skewed(row):
+    """conditional_block_rows with 1 added to the gain of the given row."""
+    rows = cli.conditional_block_rows
+
+    def skewed(*args):
+        arrived, out, scales = rows(*args)
+        gain = out[7].copy()
+        gain[row] += 1
+        return arrived, (*out[:7], gain), scales
+    return skewed
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_expost_sweep_checks_the_gain_identity(monkeypatch, exact):
+    # Merging still pays on every row, and the recheck row agrees with the
+    # scalar code on everything but the gain, so only a comparison of the
+    # gain row with merged - separate sees the skew, at the first pair's
+    # second conditioning (block c arrived).
+    num = Fraction if exact else float
+    g = GroundSet(["h"])
+    ks = ["a", "b", "c"]
+    spec = GameSpec(
+        ks,
+        {"h": ks},
+        CoinVector(g, (num(Fraction(1, 3)),)),
+        {k: SetFunction(g, (num(lo), num(hi))) for k, lo, hi in zip(ks, (1, 2, 1), (2, 3, 4))},
+    )
+    monkeypatch.setattr(cli, "conditional_block_rows", _gain_skewed(1))
+    profile = spec.finest_profile()
+    given = {"h": [None, None, True]}
+    separate, merged = partition_game.conditional_payoffs(spec, profile, "h", 0, 1, given)
+    assert cli._expost_sweep(spec, profile) == {
+        "checked": 2,
+        "holds": False,
+        "violation": {
+            "player": "h",
+            "blocks": [0, 1],
+            "conditioning": given,
+            "separate": cli.format_value(separate),
+            "merged": cli.format_value(merged),
+        },
+    }
 
 
 def test_expost_recheck_sees_arrived_blocks(monkeypatch):
@@ -526,7 +626,6 @@ VERIFY_RUNS = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 def test_verify_small_run_passes(tmp_path, capsys):
     for (max_ground, samples, seed), flags in VERIFY_RUNS.items():
         out = tmp_path / f"verify-{seed}"
@@ -544,7 +643,6 @@ def test_verify_small_run_passes(tmp_path, capsys):
         assert captured.err.count(": ok") == 9
 
 
-@pytest.mark.filterwarnings("error")
 def test_verify_max_ground_caps_every_convolution_sweep(monkeypatch, capsys):
     # Every table that verify convolves, samples or sums by brute force,
     # the Monte Carlo sweep's included, lives on at most 2 elements.
@@ -672,6 +770,12 @@ VERIFY_FAULTS = {
         "game_dominance_nash",
         lambda: _nash_per_spec(lambda nash, scaled: nash + nash),
         1, {"expected": "unique equilibrium under strict payoffs", "found": 2},
+    ),
+    "expost_identity": (
+        "expost_identity",
+        lambda: {"conditional_block_rows": _gain_skewed(0)},
+        1, {"player": "s1", "blocks": [0, 1], "conditioning": {"s1": [None, None]},
+            "separate": 0, "merged": 0},
     ),
     "scaling_invariance-player": (
         "scaling_invariance",
@@ -1028,7 +1132,7 @@ def test_weights_form_is_the_moebius_sum(tmp_path, capsys):
     g = GroundSet(["a", "b"])
     f = from_moebius_weights(g, {0: 1, 1: 2, 3: Fraction(1, 2)})
     table = convolve(f, SetFunction(g, (2, 5, 2, 5)), CoinVector(g, (Fraction(1, 2), Fraction(1, 4))))
-    assert json.loads(out)["table"] == cli._table_json(table)
+    assert json.loads(out)["table"] == cli._table_json(table, cli._subset_keys(g))
 
 
 def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from riskpool import cli, partition_game
+from riskpool import partition_game
 from riskpool.convolution import convolve, partition_expectation
 from riskpool.generators import random_coin_vector, random_game_spec, random_profile
 from riskpool.lattice import CoinVector, GroundSet, SetFunction, expectation, random_increasing
@@ -734,9 +734,8 @@ def test_batched_conditional_rows_match_the_scalar_comparison():
             ph = spec.p.p[hi]
             first = sum(sizes[:hi])
             for i, j in itertools.combinations(range(sizes[hi]), 2):
-                arrived, factors, scales = conditional_block_rows(spec, profile, h, i, j)
-                sep, merged, gain, scale = cli._merging_rows(ph, factors, scales)
-                exact = sep.dtype == object
+                arrived, rows, scales = conditional_block_rows(spec, profile, h, i, j)
+                exact = rows[0].dtype == object
                 assert exact is (specs % 2 == 0)
                 free = [c for c in range(sum(sizes)) if c not in (first + i, first + j)]
                 assert not arrived[:, [first + i, first + j]].any()
@@ -756,9 +755,7 @@ def test_batched_conditional_rows_match_the_scalar_comparison():
                     want += (a0, a1, b0, b1, c, ph * (1 - ph) * (a1 - a0) * (b1 - b0) * c)
                     got = [
                         Fraction(x[row], sc) if exact else float(x[row])
-                        for x, sc in zip(
-                            (sep, merged) + factors + (gain,), (scale, scale) + scales + (scale,)
-                        )
+                        for x, sc in zip(rows, scales, strict=True)
                     ]
                     assert got == list(want)
 
