@@ -128,9 +128,10 @@ class GameSpec:
     The first exhaustive request (check_dominance or find_nash) builds
     every player's payoffs over all profiles at once, one array per player
     (one in all for a symmetric game), and keeps them on the spec; from then
-    on expected_payoff and best_replies read them.  The arrays live and die
-    with the spec and take no part in equality, hashing or repr, and a spec
-    derived from this one, such as scaled_spec's, starts without them.
+    on expected_payoff and best_replies read them, exact ones as integers
+    over one scale per player.  The arrays live and die with the spec and
+    take no part in equality, hashing or repr, and a spec derived from
+    this one, such as scaled_spec's, starts without them.
     """
 
     commodities: tuple[str, ...]
@@ -139,8 +140,8 @@ class GameSpec:
     payoffs: tuple[tuple[SetFunction, ...], ...]
     symmetric: bool
     exact: bool
-    # (strategy -> axis position per supplier, payoff array per player)
-    _payoff_arrays: tuple[tuple[dict, ...], tuple[np.ndarray, ...]] | None = field(
+    # (strategy -> axis position per supplier, (payoff array, scale) per player)
+    _payoff_arrays: tuple[tuple[dict, ...], tuple[tuple[np.ndarray, int], ...]] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -363,17 +364,19 @@ def _strategy_law(
 
 def _build_payoff_arrays(
     spec: GameSpec, lists: Sequence[Sequence[PartitionStrategy]]
-) -> tuple[tuple[dict, ...], tuple[np.ndarray, ...]]:
-    """Every player's payoff at every profile, as arrays indexed like lists.
+) -> tuple[tuple[dict, ...], tuple[tuple[np.ndarray, int], ...]]:
+    """Every player's payoff at every profile, as (array indexed like
+    lists, scale) pairs.
 
     Player h's tensor T_h[x_1, ..., x_H] = prod over k of F_k^h(S_k(x))
     runs over the commodity-arrival vector x_g of every supplier (the
     finest profile's arrival patterns and masks).  Contracting its axis g
     with the matrix of supplier g's strategy laws, one tensordot per axis,
     leaves the payoff of every profile in itertools.product order.  Exact
-    mode contracts denominator-cleared integers and divides once; a
-    symmetric game builds one array.  There are 2**(sum of supply sizes)
-    cells, and MAX_PROFILES already bounds that sum at 21.
+    mode contracts denominator-cleared integers and keeps them over one
+    scale per player; float arrays have scale 1.  A symmetric game builds
+    one array.  There are 2**(sum of supply sizes) cells, and MAX_PROFILES
+    already bounds that sum at 21.
     """
     exact = spec.exact
     finest = spec.finest_profile()
@@ -389,10 +392,7 @@ def _build_payoff_arrays(
         pay = pay.reshape([1 << len(owned) for owned in spec.supply])
         for law in laws:
             pay = np.tensordot(pay, law, axes=([0], [1]))
-        if exact:
-            scale = denom * math.prod(lcms)
-            pay = np.frompyfunc(lambda v: Fraction(v, scale), 1, 1)(pay)
-        arrays.append(pay)
+        arrays.append((pay, denom * math.prod(lcms)))
     index = tuple({s: pos for pos, s in enumerate(lst)} for lst in lists)
     return index, tuple(arrays * len(spec.suppliers) if spec.symmetric else arrays)
 
@@ -401,12 +401,13 @@ def expected_payoff(spec: GameSpec, profile: StrategyProfile, h: str) -> Value:
     """E[prod over k of F_k^h(S_k)] under the profile's shipment coins.
 
     Once an exhaustive request has built the spec's payoff arrays, this
-    reads one of their cells.  Before that, or for a profile whose
-    strategies are not spelled as spec.strategies spells them, it computes
-    h's payoff alone: the same contraction with one law per supplier over
-    its own blocks, one slice of the profile's arrival patterns at a time.
-    Exact mode sums integer weights times denominator-cleared tables and
-    divides once; float mode sums each slice with fsum, then the slices.
+    reads one of their cells, an exact one as a Fraction over h's scale.
+    Before that, or for a profile whose strategies are not spelled as
+    spec.strategies spells them, it computes h's payoff alone: the same
+    contraction with one law per supplier over its own blocks, one slice
+    of the profile's arrival patterns at a time.  Exact mode sums integer
+    weights times denominator-cleared tables and divides once; float mode
+    sums each slice with fsum, then the slices.
     """
     hi = spec.h_index(h)
     if spec._payoff_arrays is not None:
@@ -416,7 +417,8 @@ def expected_payoff(spec: GameSpec, profile: StrategyProfile, h: str) -> Value:
         except (KeyError, ValueError):
             pass
         else:
-            return arrays[hi].item(cell)
+            pay, scale = arrays[hi]
+            return Fraction(pay.item(cell), scale) if spec.exact else pay.item(cell)
     exact = spec.exact
     cols = _block_columns(spec, profile)
     tables, scales = _table_arrays(spec, hi)  # then one scale per law
@@ -621,28 +623,31 @@ def _strategy_lists(spec: GameSpec) -> list[list[PartitionStrategy]]:
 
 def check_dominance(spec: GameSpec, h: str) -> DominanceViolation | None:
     """Verify that coarsening h's strategy never lowers h's payoff,
-    whatever the opponents play.  Returns the first counterexample found,
-    or None when there is none."""
+    whatever the opponents play.  Returns the first counterexample in
+    itertools.product order over the opponents, then over the coarser
+    (better, worse) pairs, or None when there is none.  The payoffs read
+    through expected_payoff are compared a block of opponents at a time,
+    at most _SLICE_ROWS cells a geq_array call; one strategy reads nothing."""
     hi = spec.h_index(h)
     lists = _strategy_lists(spec)
     own = lists[hi]
-    pairs = [
-        (a, b)
-        for a in range(len(own))
-        for b in range(len(own))
-        if a != b and coarser(own[a], own[b])
-    ]
-    other_lists = [lst for gi, lst in enumerate(lists) if gi != hi]
-    for others in itertools.product(*other_lists):
-        strategies = list(others)
-        strategies.insert(hi, own[0])
-        profile = StrategyProfile(strategies)
-        pays = [
-            expected_payoff(spec, profile.replace(hi, cand), h) for cand in own
-        ]
-        for a, b in pairs:
-            if not geq(pays[a], pays[b]):
-                return DominanceViolation(tuple(others), own[a], own[b], pays[a], pays[b])
+    better, worse = np.array(
+        [(a, b) for a in range(len(own)) for b in range(len(own)) if a != b and coarser(own[a], own[b])],
+        dtype=np.intp,
+    ).reshape(-1, 2).T
+    if not better.size:
+        return None
+    others = itertools.product(*(lst for gi, lst in enumerate(lists) if gi != hi))
+    while block := list(itertools.islice(others, max(1, _SLICE_ROWS // better.size))):
+        pays = [[expected_payoff(spec, StrategyProfile(o[:hi] + (s,) + o[hi:]), h) for s in own] for o in block]
+        table = scaled_array([v for row in pays for v in row], spec.exact)[0].reshape(len(block), -1)
+        # Pairs come in several slices only for one-row blocks, so C order holds.
+        for start in range(0, better.size, _SLICE_ROWS):
+            a, b = better[start : start + _SLICE_ROWS], worse[start : start + _SLICE_ROWS]
+            bad = np.argwhere(~geq_array(table[:, a], table[:, b]))
+            if bad.size:
+                r, c = bad[0]
+                return DominanceViolation(block[r], own[a[c]], own[b[c]], pays[r][a[c]], pays[r][b[c]])
     return None
 
 
@@ -650,7 +655,7 @@ def find_nash(spec: GameSpec) -> list[StrategyProfile]:
     """All pure-strategy profiles in which every strategy is a best reply."""
     lists = _strategy_lists(spec)
     nash = np.ones([len(lst) for lst in lists], dtype=bool)
-    for hi, pay in enumerate(spec._payoff_arrays[1]):
+    for hi, (pay, _) in enumerate(spec._payoff_arrays[1]):
         nash &= geq_array(pay, pay.max(axis=hi, keepdims=True))
     return [
         StrategyProfile(lists[gi][ci] for gi, ci in enumerate(cell))

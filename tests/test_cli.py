@@ -3,6 +3,7 @@ round-trips between reports and the library."""
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import os
@@ -26,8 +27,8 @@ from riskpool.lattice import (
     from_moebius_weights,
 )
 from riskpool.montecarlo import EstimateReport
-from riskpool.numerics import parse_value, power
-from riskpool.partition_game import DominanceViolation, GameSpec
+from riskpool.numerics import format_value, parse_value, power
+from riskpool.partition_game import DominanceViolation, GameSpec, StrategyProfile
 
 CONV_CONFIG = {
     "kind": "convolution",
@@ -413,6 +414,59 @@ def test_game_analyze_nash_round_trips_against_library(tmp_path, capsys):
     nash = partition_game.find_nash(spec)
     assert len(nash) == 4
     assert [cli._game_profile({"profile": entry}, spec) for entry in json.loads(out)["nash"]] == nash
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_game_analyze_payoff_tables_round_trip_against_library(tmp_path, capsys, mode):
+    # Every payoff_tables key ("h1:a|b,c;h2:...;h3:") reads back, as a
+    # config profile, to one profile of the game; together they cover every
+    # profile once, and each value is the library's payoff, formatted.
+    hs, ks = ["h1", "h2", "h3"], ["oil", "gas", "coal"]
+    weights = {"oil": (1, 2, 3), "gas": (2, 1, 1), "coal": (3, 1, 2)}
+    coins = (Fraction(1, 2), Fraction(3, 4), Fraction(1, 3))
+
+    def table(w):
+        return [sum(w[i] for i in range(3) if m >> i & 1) for m in range(8)]
+
+    cfg = {
+        "kind": "game",
+        "mode": mode,
+        "commodities": ks,
+        "suppliers": hs,
+        "p": {h: str(c) for h, c in zip(hs, coins)},
+        "supply": {"h1": ks, "h2": ["oil", "coal"], "h3": []},
+        "payoffs": {
+            k: {"table": {",".join(h for i, h in enumerate(hs) if m >> i & 1): v
+                          for m, v in enumerate(table(w))}}
+            for k, w in weights.items()
+        },
+    }
+    code, out, _ = _run(capsys, ["game", "analyze", "--config", _write(tmp_path, "game.json", cfg)])
+    assert code == 0
+    num = Fraction if mode == "exact" else float
+    g = GroundSet(hs)
+    spec = GameSpec(
+        ks,
+        cfg["supply"],
+        CoinVector(g, tuple(map(num, coins))),
+        {k: SetFunction(g, tuple(map(num, table(w)))) for k, w in weights.items()},
+    )
+    partition_game.find_nash(spec)  # the report's payoffs are read after the verdict too
+    tables = json.loads(out)["payoff_tables"]
+    assert list(tables) == hs
+    every = {StrategyProfile(c) for c in itertools.product(*map(spec.strategies, hs))}
+    assert len(every) == 10
+    for h in hs:
+        profiles = []
+        for key, value in tables[h].items():
+            entry = {}
+            for part in key.split(";"):
+                g_name, blocks = part.split(":")
+                entry[g_name] = [b.split(",") for b in blocks.split("|")] if blocks else []
+            profile = cli._game_profile({"profile": entry}, spec)
+            assert value == format_value(partition_game.expected_payoff(spec, profile, h))
+            profiles.append(profile)
+        assert len(profiles) == len(every) and set(profiles) == every
 
 
 def test_game_analyze_reports_a_dominance_violation(tmp_path, capsys, monkeypatch):

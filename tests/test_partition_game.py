@@ -16,7 +16,7 @@ from riskpool import partition_game
 from riskpool.convolution import convolve, partition_expectation
 from riskpool.generators import random_coin_vector, random_game_spec, random_profile
 from riskpool.lattice import CoinVector, GroundSet, SetFunction, expectation, random_increasing
-from riskpool.numerics import close
+from riskpool.numerics import close, geq
 from riskpool.partition_game import (
     MAX_COMMODITIES,
     MAX_TOTAL_BLOCKS,
@@ -486,6 +486,43 @@ def test_payoff_arrays_stay_with_their_spec():
     assert scaled != spec
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_array_reads_equal_the_single_profile_contraction(symmetric):
+    # The arrays keep exact payoffs as integers over one scale per player;
+    # every read must be the Fraction that a spec without arrays computes
+    # by its own contraction, and the float twin's reads must agree with it.
+    rng = random.Random(45 + symmetric)
+    g = GroundSet(["h1", "h2", "h3"])
+    ks = ["a", "b", "c"]
+
+    def family():
+        return random_increasing(rng, g, 5, exact=True)
+
+    payoffs = {k: family() if symmetric else {h: family() for h in g.labels} for k in ks}
+    p = CoinVector(g, (F(1, 3), F(3, 4), F(2, 5)))
+    supply = {"h1": ks, "h2": ks, "h3": ["a", "c"]}
+    spec, fresh = (GameSpec(ks, supply, p, payoffs) for _ in range(2))
+    float_spec, float_fresh = _float_spec(spec), _float_spec(spec)
+    assert spec.symmetric is symmetric and float_spec.symmetric is symmetric
+    profiles = _all_profiles(spec)
+    assert len(profiles) == 50
+    find_nash(spec)
+    find_nash(float_spec)
+    for hi, h in enumerate(spec.suppliers):
+        pay, scale = spec._payoff_arrays[1][hi]
+        assert pay.dtype == object and isinstance(scale, int)
+        assert all(type(v) is int for v in pay.flat)
+        assert float_spec._payoff_arrays[1][hi][1] == 1
+        for profile in profiles:
+            value = expected_payoff(spec, profile, h)
+            assert isinstance(value, Fraction) and value == expected_payoff(fresh, profile, h)
+            approx = expected_payoff(float_spec, profile, h)
+            assert isinstance(approx, float)
+            assert close(approx, expected_payoff(float_fresh, profile, h))
+            assert close(approx, float(value))
+    assert fresh._payoff_arrays is None and float_fresh._payoff_arrays is None
+
+
 def test_exact_four_by_four_game_is_analyzed_exhaustively():
     # 15**4 = 50,625 profiles: past any per-profile sweep, within the arrays.
     rng = random.Random(44)
@@ -883,6 +920,119 @@ def test_check_dominance_returns_the_first_violation():
     for strat, pay in ((coarse, F(7, 8)), (split, F(15, 16))):
         assert _oracle_payoff(spec, StrategyProfile((strat, h2_split)), "h1") == pay
     assert check_dominance(spec, "h2") is None
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_a_player_with_one_strategy_reads_nothing(monkeypatch, exact):
+    # h2 owns one commodity and h3 none: each has a single strategy, so no
+    # coarser pair, and dominance holds without reading a payoff.
+    g = GroundSet(["h1", "h2", "h3"])
+    up = SetFunction(g, tuple(F(1 + (m & 1) + (m >> 1 & 1)) for m in range(8)))
+    p = CoinVector(g, (F(1, 2), F(1, 3), F(3, 4)))
+    spec = GameSpec(["a", "b"], {"h1": ["a", "b"], "h2": ["a"], "h3": []}, p, {"a": up, "b": up})
+    if not exact:
+        spec = _float_spec(spec)
+    reads = []
+    read = partition_game.expected_payoff
+    monkeypatch.setattr(
+        partition_game, "expected_payoff", lambda *args: reads.append(args[2]) or read(*args)
+    )
+    assert check_dominance(spec, "h2") is None and check_dominance(spec, "h3") is None
+    assert reads == []
+    assert check_dominance(spec, "h1") is None
+    assert reads == ["h1", "h1"]  # two strategies against the one opponent combination
+
+
+def _negative_correlation_spec(h2_supply, exact):
+    """h1 owns a, b and d.  Its factor for a falls when h1 delivers a while
+    h2's shipment of a is missing (set past validation), its factors for b
+    and d rise when h1 delivers, and its factor for c pays only when h2's
+    shipment of c arrives.  So shipping a with b or d lowers h1's payoff
+    exactly against the h2 strategies that ship a apart from c: violations
+    at several opponent combinations, but not at the first."""
+    g = GroundSet(["h1", "h2", "h3"])
+    num = F if exact else float
+
+    def fn(*values):
+        return SetFunction(g, tuple(num(v) for v in values))
+
+    up = fn(1, 2, 1, 2, 1, 2, 1, 2)
+    spec = GameSpec(
+        ["a", "b", "c", "d"],
+        {"h1": ["a", "b", "d"], "h2": h2_supply, "h3": ["b", "d"]},
+        CoinVector(g, (num(F(1, 2)), num(F(2, 3)), num(F(3, 4)))),
+        {"a": up, "b": up, "c": {"h1": fn(0, 0, 1, 1, 0, 0, 1, 1), "h2": up, "h3": up}, "d": up},
+    )
+    rows = list(spec.payoffs)
+    rows[0] = (fn(2, 1, 1, 1, 2, 1, 1, 1),) + rows[0][1:]
+    object.__setattr__(spec, "payoffs", tuple(rows))
+    return spec
+
+
+def _scalar_violations(spec, h):
+    """Every (opponents, better, worse) violation of a one-cell-at-a-time
+    scan: opponents in itertools.product order, then coarser pairs (a, b)
+    in index order, compared with numerics.geq on expected_payoff's reads."""
+    hi = spec.h_index(h)
+    lists = [spec.strategies(g) for g in spec.suppliers]
+    own = lists[hi]
+    pairs = [(a, b) for a in range(len(own)) for b in range(len(own)) if a != b and coarser(own[a], own[b])]
+    found = []
+    for others in itertools.product(*(lst for gi, lst in enumerate(lists) if gi != hi)):
+        pays = [
+            expected_payoff(spec, StrategyProfile(others[:hi] + (s,) + others[hi:]), h) for s in own
+        ]
+        for a, b in pairs:
+            if not geq(pays[a], pays[b]):
+                found.append(partition_game.DominanceViolation(others, own[a], own[b], pays[a], pays[b]))
+    return found
+
+
+# Blocks of one opponent combination with pairs one at a time, blocks of
+# one with two pairs a call, blocks of three combinations of h1's seven
+# pairs (ending mid-way through the opponents), and the default.
+SLICE_CASES = (1, 2, 21, partition_game._SLICE_ROWS)
+
+
+@pytest.mark.parametrize("slice_rows", SLICE_CASES)
+@pytest.mark.parametrize("exact", [True, False])
+def test_dominance_blocks_return_the_scalar_scans_first_violation(monkeypatch, exact, slice_rows):
+    monkeypatch.setattr(partition_game, "_SLICE_ROWS", slice_rows)
+    compared = []
+    compare = partition_game.geq_array
+
+    def spy(x, y):
+        compared.append(x.size)
+        return compare(x, y)
+
+    first_rows = set()
+    for h2_supply in (["a", "c"], ["a", "b", "c"], ["a", "c", "d"]):
+        spec = _negative_correlation_spec(h2_supply, exact)
+        find_nash(spec)
+        monkeypatch.setattr(partition_game, "geq_array", spy)
+        for h in spec.suppliers:
+            found = _scalar_violations(spec, h)
+            violation = check_dominance(spec, h)
+            assert violation == (found[0] if found else None)
+            if h == "h1":
+                assert len({v.opponents for v in found}) > 1
+                opponents = list(itertools.product(spec.strategies("h2"), spec.strategies("h3")))
+                first_rows.add(opponents.index(violation.opponents))
+                if exact:
+                    for strat, pay in ((violation.better, violation.payoff_better),
+                                       (violation.worse, violation.payoff_worse)):
+                        profile = StrategyProfile((strat,) + violation.opponents)
+                        assert _oracle_payoff(spec, profile, h) == pay
+        monkeypatch.setattr(partition_game, "geq_array", compare)
+    assert first_rows == {2, 4}
+    assert compared and max(compared) <= slice_rows
+    rng = random.Random(117)
+    for _ in range(6):
+        spec = random_game_spec(rng)
+        for game in (spec, _float_spec(spec)):
+            for h in game.suppliers:
+                assert check_dominance(game, h) is None
+                assert _scalar_violations(game, h) == []
 
 
 def test_two_supplier_example_full_analysis():
