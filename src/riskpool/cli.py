@@ -233,7 +233,7 @@ def _subset_list(obj: object, ground: GroundSet, path: str) -> list[int]:
     return out
 
 
-def _family(obj: object, ground: GroundSet, path: str) -> SetFunction:
+def _family(obj: object, ground: GroundSet, mode: str, path: str, keys: Sequence[str]) -> SetFunction:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     if ("seeds" in obj) == ("members" in obj):
@@ -301,20 +301,24 @@ def _load_config(path: str, mode_flag: str | None, expected_kinds: Sequence[str]
 
 
 def _emit(report: dict, out: str | None, tables: Mapping[str, Mapping[str, object]], want_csv: bool) -> int:
-    """Print the report, write it (and its tables as CSV) under out, and
-    return the exit code: 0 when the verdict is "pass", 1 otherwise."""
+    """Write the report (and its tables as CSV) under out, then print it, and
+    return the exit code: 0 when the verdict is "pass", 1 otherwise.  An
+    unusable out is refused before anything is printed."""
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    print(text)
     if out is not None:
         out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
-        if want_csv:
-            for name, table in tables.items():
-                with open(out_dir / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["subset", "value"])
-                    writer.writerows(sorted(table.items()))
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
+            if want_csv:
+                for name, table in tables.items():
+                    with open(out_dir / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
+                        writer = csv.writer(fh)
+                        writer.writerow(["subset", "value"])
+                        writer.writerows(sorted(table.items()))
+        except OSError as exc:
+            raise ValueError(f"--out: cannot write {exc.filename}: {exc.strerror}") from None
+    print(text)
     return 0 if report["verdict"] == "pass" else 1
 
 
@@ -370,38 +374,6 @@ def _cmd_convolve(args) -> int:
 # ---------------------------------------------------------------- scenario
 
 
-def _production(
-    cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector, keys: Sequence[str]
-) -> TwoInputProduction:
-    return TwoInputProduction(
-        _per_element(cfg.get("x"), ground, mode, "x", "amount"),
-        _per_element(cfg.get("y"), ground, mode, "y", "amount"),
-        _value(cfg.get("alpha"), mode, "alpha"),
-        _value(cfg.get("beta"), mode, "beta"),
-        p,
-    )
-
-
-def _military(
-    cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector, keys: Sequence[str]
-) -> MilitaryScenario:
-    return MilitaryScenario(
-        c_red=_family(cfg.get("red"), ground, "red"),
-        c_blue=_family(cfg.get("blue"), ground, "blue"),
-        p=p,
-    )
-
-
-def _merger(
-    cfg: Mapping, ground: GroundSet, mode: str, p: CoinVector, keys: Sequence[str]
-) -> MergerScenario:
-    return MergerScenario(
-        f_a=_voting_rule(cfg.get("a"), ground, mode, "a", keys),
-        f_b=_voting_rule(cfg.get("b"), ground, mode, "b", keys),
-        p=p,
-    )
-
-
 # Each scenario check returns its named tables, the table whose maxima are
 # the optimal pools, and its monotonicity checks.
 
@@ -439,24 +411,45 @@ def _check_scenario(check, sc) -> tuple[dict, list[int], dict]:
     return tables, best, checks
 
 
-# kind -> (ground-set field, config parser, scenario check); a parser is given
-# the ground set's _subset_keys, which only a merger's table-form rule reads.
+def _amounts(obj: object, ground: GroundSet, mode: str, path: str, keys: Sequence[str]) -> tuple[Value, ...]:
+    return _per_element(obj, ground, mode, path, "amount")
+
+
+def _exponent(raw: object, ground: GroundSet, mode: str, path: str, keys: Sequence[str]) -> Value:
+    return _value(raw, mode, path)
+
+
+# kind -> (ground-set field, model class, {config field: (model argument,
+# reader)} in reading order, scenario check, verify's generator).  A reader
+# takes (value, ground, mode, path, keys); keys are the ground set's
+# _subset_keys, which only a merger's table-form rule reads.
 SCENARIOS = {
-    "production": ("suppliers", _production, _check_production),
-    "military": ("sites", _military, _check_military),
-    "merger": ("shareholders", _merger, _check_merger),
+    "production": (
+        "suppliers", TwoInputProduction,
+        {"x": ("x", _amounts), "y": ("y", _amounts), "alpha": ("alpha", _exponent), "beta": ("beta", _exponent)},
+        _check_production, generators.random_production,
+    ),
+    "military": (
+        "sites", MilitaryScenario, {"red": ("c_red", _family), "blue": ("c_blue", _family)},
+        _check_military, generators.random_military,
+    ),
+    "merger": (
+        "shareholders", MergerScenario, {"a": ("f_a", _voting_rule), "b": ("f_b", _voting_rule)},
+        _check_merger, generators.random_merger,
+    ),
 }
 
 
 def _cmd_scenario(args) -> int:
     cfg, mode = _load_config(args.config, args.mode, tuple(SCENARIOS))
     kind = cfg["kind"]
-    field, parse, check = SCENARIOS[kind]
+    field, model, readers, check, _ = SCENARIOS[kind]
     ground = _ground(cfg, field, args.max_ground)
     p = _coins(cfg, ground, mode)
     keys = _subset_keys(ground)
     try:
-        sc = parse(cfg, ground, mode, p, keys)
+        sc = model(p=p, **{arg: read(cfg.get(name), ground, mode, name, keys)
+                           for name, (arg, read) in readers.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     tables, best, checks = _check_scenario(check, sc)
@@ -799,11 +792,7 @@ def _verify_scenarios(seed: int, max_ground: int):
     for _ in range(80):
         n = rng.randint(1, cap)
         ground = GroundSet([f"h{i}" for i in range(n)])
-        scenarios = (
-            (_check_production, generators.random_production(rng, ground)),
-            (_check_military, generators.random_military(rng, ground)),
-            (_check_merger, generators.random_merger(rng, ground)),
-        )
+        scenarios = [(check, generate(rng, ground)) for *_, check, generate in SCENARIOS.values()]
         ok = all(all(_check_scenario(check, sc)[2].values()) for check, sc in scenarios)
         yield 1, (None if ok else {"n": n, "seed": seed})
 

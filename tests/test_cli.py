@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riskpool import cli, partition_game, scenarios
+from riskpool import cli, generators, partition_game, scenarios
 from riskpool.cli import main
 from riskpool.convolution import convolve, partition_expectation
 from riskpool.lattice import (
@@ -200,6 +201,41 @@ def test_out_dir_and_csv(tmp_path, capsys):
     assert len(rows) == 5  # header + one row per subset
 
 
+# Each command with the flags that make it write every file it can.
+OUT_COMMANDS = {
+    "convolve": (["convolve", "--csv"], CONV_CONFIG),
+    "scenario": (["scenario", "--csv"], MILITARY_CONFIG),
+    "game-analyze": (["game", "analyze"], GAME_CONFIG),
+    "game-simulate": (["game", "simulate", "--samples", "50"], GAME_CONFIG),
+    "verify": (["verify", "--max-ground", "1", "--samples", "2000"], None),
+}
+
+
+@pytest.mark.parametrize("blocked", ["out-is-a-file", "report-is-a-directory"])
+@pytest.mark.parametrize("name", OUT_COMMANDS)
+def test_an_unusable_out_is_refused_before_anything_is_printed(tmp_path, capsys, name, blocked):
+    # Exit 1 means a failed verdict, so a directory that cannot be written
+    # is a usage error: one line naming the path, and no report on stdout
+    # (nor verify's summary on stderr).
+    argv, config = OUT_COMMANDS[name]
+    if config is not None:
+        argv = [*argv, "--config", _write(tmp_path, "c.json", config)]
+    out = tmp_path / "out"
+    if blocked == "out-is-a-file":
+        out.write_text("kept")
+        unusable = out
+    else:
+        (out / "report.json").mkdir(parents=True)
+        unusable = out / "report.json"
+    code, stdout, err = _run(capsys, [*argv, "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: --out: cannot write {unusable}: ") and err.count("\n") == 1
+    if blocked == "out-is-a-file":
+        assert out.read_text() == "kept"
+    else:
+        assert list(out.iterdir()) == [unusable]
+
+
 def test_mode_flag_overrides_config(tmp_path, capsys):
     cfg_obj = dict(CONV_CONFIG)
     del cfg_obj["mode"]
@@ -375,6 +411,86 @@ def test_scenario_report_round_trips_against_library(tmp_path, capsys, kind):
         assert cli._setfunction({"table": report[name]}, g, "exact", name, keys) == table
     optimal = [cli._parse_key(g, key, "optimal") for key in report["optimal"]]
     assert sorted(optimal) == scenarios.optimal_strategies(objective)
+
+
+ROUND_TRIP_LABELS = ["d", "B", "c", "a"]  # sorted order is not ground order
+
+
+def _config_table(fn):
+    """fn as a table-form config, keyed by each subset's sorted labels."""
+    g = fn.ground
+    return {"table": {",".join(sorted(g.labels_of(m))): format_value(v) for m, v in enumerate(fn.values)}}
+
+
+def _per_label(ground, values):
+    return dict(zip(ground.labels, map(format_value, values)))
+
+
+def _round_trip_case(kind, rng, ground, exact):
+    """A random config of the kind, the library's report tables for it, and
+    the table whose maxima are the optimal pools (None for a convolution)."""
+    num = Fraction if exact else float
+    p = generators.random_coin_vector(rng, ground, exact=exact, degenerate=True)
+    cfg = {"kind": kind, "mode": "exact" if exact else "float", "p": _per_label(ground, p.p)}
+    labels = list(ground.labels)
+    if kind == "convolution":
+        f, g = (generators.random_setfunction(rng, ground, exact=exact) for _ in range(2))
+        cfg.update(ground=labels, f=_config_table(f), g=_config_table(g))
+        return cfg, {"table": convolve(f, g, p)}, None
+    if kind == "production":
+        if exact:
+            x, y = ([Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in labels] for _ in range(2))
+            alpha, beta = rng.randint(1, 3), rng.randint(1, 3)
+        else:
+            x, y = ([rng.uniform(0.0, 5.0) for _ in labels] for _ in range(2))
+            alpha, beta = rng.uniform(0.1, 2.5), rng.uniform(0.1, 2.5)
+        cfg.update(suppliers=labels, x=_per_label(ground, x), y=_per_label(ground, y),
+                   alpha=format_value(alpha), beta=format_value(beta))
+        table = scenarios.production_table(scenarios.TwoInputProduction(x, y, alpha, beta, p))
+        return cfg, {"payoffs": table}, table
+    if kind == "military":
+        red, blue = (generators.random_monotone_family(rng, ground) for _ in range(2))
+        cfg.update(sites=labels, red={"members": [list(ground.labels_of(m)) for m in ground.subsets() if red(m)]},
+                   blue={"seeds": [list(ground.labels_of(m)) for m in ground.subsets() if blue(m)]})
+        both, neither, one = scenarios.military_tables(scenarios.MilitaryScenario(red, blue, p))
+        return cfg, {"both_disabled": both, "neither_disabled": neither, "exactly_one": one}, both
+    a, b = (generators.random_voting_rule(rng, ground).map(num) for _ in range(2))
+    cfg.update(shareholders=labels, a=_config_table(a), b=_config_table(b))
+    table = scenarios.merger_table(scenarios.MergerScenario(a, b, p))
+    return cfg, {"approval_probability": table}, table
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_random_reports_round_trip_against_library(tmp_path, capsys, data):
+    # Every printed table, read back as a config table, is the library's
+    # (the same floats in float mode); every key parses back to the mask it
+    # was built from; every optimal key is one of the library's optima.
+    kind = data.draw(st.sampled_from(["convolution", "production", "military", "merger"]), label="kind")
+    # a voting rule must reject {} and accept the full set, so a merger needs an element
+    n = data.draw(st.integers(1 if kind == "merger" else 0, 4), label="n")
+    exact = data.draw(st.booleans(), label="exact")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    ground = GroundSet(ROUND_TRIP_LABELS[:n])
+    cfg, tables, objective = _round_trip_case(kind, rng, ground, exact)
+    command = "convolve" if kind == "convolution" else "scenario"
+    code, out, err = _run(capsys, [command, "--config", _write(tmp_path, "rt.json", cfg)])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    keys = cli._subset_keys(ground)
+    mask_of = {key: mask for mask, key in enumerate(keys)}
+    for name, table in tables.items():
+        printed = report[name]
+        assert {key: cli._parse_key(ground, key, name) for key in printed} == mask_of
+        assert cli._setfunction({"table": printed}, ground, cfg["mode"], name, keys) == table
+    if objective is not None:
+        optimal = [cli._parse_key(ground, key, "optimal") for key in report["optimal"]]
+        assert sorted(optimal) == scenarios.optimal_strategies(objective)
 
 
 # -- game -----------------------------------------------------------------------
@@ -728,6 +844,21 @@ def test_verify_max_ground_caps_every_convolution_sweep(monkeypatch, capsys):
     assert max(max(ns) for ns in sizes.values()) == 2
     assert len(widths) == 27 + 324 + 800  # every monotone instance
     assert max(widths) == 1 << 2
+
+
+def test_scenario_sweep_draws_each_kind_in_turn_from_one_stream(monkeypatch):
+    # The sweep reports instance counts only, so a reordered draw would not
+    # show in its report: record what it checks and redraw it by hand.
+    seen = []
+    monkeypatch.setattr(cli, "_check_scenario", lambda check, sc: seen.append((check, sc)) or ({}, [], {}))
+    assert list(cli._verify_scenarios(11, 4)) == [(1, None)] * 80
+    rng, expected = random.Random(11), []
+    for _ in range(80):
+        ground = GroundSet([f"h{i}" for i in range(rng.randint(1, 4))])
+        expected.append((cli._check_production, generators.random_production(rng, ground)))
+        expected.append((cli._check_military, generators.random_military(rng, ground)))
+        expected.append((cli._check_merger, generators.random_merger(rng, ground)))
+    assert seen == expected
 
 
 def test_verify_reports_a_failing_sweep(monkeypatch, capsys):
@@ -1156,6 +1287,31 @@ def test_config_refusals_name_their_path(tmp_path, capsys, base, change, message
     command = {"convolution": ["convolve"], "game": ["game", "analyze"]}.get(base["kind"], ["scenario"])
     cfg = _write(tmp_path, "c.json", dict(base, **change))
     assert _run(capsys, [*command, "--config", cfg]) == (2, "", f"config error: {message}\n")
+
+
+# Each scenario field left out and set to "zz", written out here rather
+# than read from cli.SCENARIOS, the table that reads them.
+@pytest.mark.parametrize(
+    "base, field, left_out, zz",
+    [
+        (PRODUCTION_CONFIG, "x", "must give exactly one amount per element",
+         "must give exactly one amount per element"),
+        (PRODUCTION_CONFIG, "y", "must give exactly one amount per element",
+         "must give exactly one amount per element"),
+        (PRODUCTION_CONFIG, "alpha", "expected a number, got None", "not a rational literal: 'zz'"),
+        (PRODUCTION_CONFIG, "beta", "expected a number, got None", "not a rational literal: 'zz'"),
+        (MILITARY_CONFIG, "red", "expected an object", "expected an object"),
+        (MILITARY_CONFIG, "blue", "expected an object", "expected an object"),
+        (MERGER_CONFIG, "a", "expected an object", "expected an object"),
+        (MERGER_CONFIG, "b", "expected an object", "expected an object"),
+    ],
+)
+def test_every_scenario_field_is_refused_by_name(tmp_path, capsys, base, field, left_out, zz):
+    without = {k: v for k, v in base.items() if k != field}
+    for cfg, message in ((without, left_out), (dict(base, **{field: "zz"}), zz)):
+        assert _run(capsys, ["scenario", "--config", _write(tmp_path, "c.json", cfg)]) == (
+            2, "", f"config error: {field}: {message}\n"
+        )
 
 
 @pytest.mark.parametrize("literal, shown", [

@@ -1,6 +1,6 @@
 """The package as a whole: its public names and methods, its imports, its
-README examples, its runtime dependencies, the exceptions it raises, and
-the independence of the test oracles."""
+README examples, its runtime dependencies, the exceptions it raises, the
+independence of the test oracles, and the Python floor it declares."""
 
 import ast
 import inspect
@@ -183,3 +183,14 @@ def test_importing_the_cli_builds_no_parser():
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["0"]
+
+
+def test_every_python_file_parses_at_the_declared_floor():
+    # pyproject.toml is read with a regex, because tomllib needs Python 3.11.
+    floor = re.search(r'requires-python\s*=\s*">=\s*3\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    assert floor is not None
+    version = (3, int(floor.group(1)))
+    paths = sorted(p for top in ("src", "tests", "perfbench") for p in (ROOT / top).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)
